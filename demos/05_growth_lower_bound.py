@@ -6,16 +6,13 @@
 # Run:  python3 demos/05_growth_lower_bound.py
 
 from ordinalia.automata import equality_automaton
-from ordinalia.examples import AB, wellorder_automaton
-from ordinalia.growth import (
-    RelationFamily,
+from ordinalia.examples import (
+    AB,
     growth_bound_probe,
-    k_const,
-    normalize,
-    nu_of_E,
     rado_growth_demo,
-    u_set,
+    wellorder_automaton,
 )
+from ordinalia.growth import RelationFamily, k_const, normalize, nu_of_E, u_set
 from ordinalia.ordinals import Ordinal, parse_ordinal
 from ordinalia.words import make_word, sorted_support
 

@@ -6,14 +6,13 @@ must jump to a state designated for the *set* of states visited
 cofinally below that position.  Machines are immutable and hashable so
 the run-analysis layer can memoize per machine.
 
-Construction helpers (products, unions, coordinate reindexing) work on
-the transition tables directly; the semantic justification lives with
-the run-analysis code in :mod:`ordinalia.semantics`.
+Track reindexing works on the transition tables directly; the
+semantic justification lives with the run-analysis code in
+:mod:`ordinalia.semantics`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -77,9 +76,6 @@ class OrdinalAutomaton:
     def step(self, q: State, sym: Symbol) -> frozenset:
         return self.succ.get((q, sym), frozenset())
 
-    def limit_step(self, visited: frozenset) -> frozenset:
-        return self.limit.get(visited, frozenset())
-
     @property
     def size(self) -> int:
         return len(self.states)
@@ -131,119 +127,18 @@ def make_automaton(
     final: Iterable,
     succ: Mapping,
     limit: Mapping,
-    check: bool = True,
 ) -> OrdinalAutomaton:
     aut = OrdinalAutomaton(
         frozenset(states), alphabet, frozenset(initial), frozenset(final),
         dict(succ), dict(limit),
     )
-    if check:
-        diag = validate(aut)
-        if not diag.ok:
-            raise AutomatonError("; ".join(diag.errors))
+    diag = validate(aut)
+    if not diag.ok:
+        raise AutomatonError("; ".join(diag.errors))
     return aut
 
 
-# -- combinators -----------------------------------------------------------
-
-
-def product(a: OrdinalAutomaton, b: OrdinalAutomaton, final_mode: str = "both") -> OrdinalAutomaton:
-    """Synchronous product.  ``final_mode`` is 'both' (intersection
-    semantics) or 'either'.
-
-    Limit transitions pair every left set of ``a`` with every left set
-    of ``b``: a set of product states visited cofinally projects to a
-    pair of cofinally visited component sets, and conversely any pair
-    of component sets can interleave.  The product left set is the set
-    of pairs that can co-occur cofinally, i.e. every subset of
-    left_a x left_b with full projections; each yields the product of
-    the component targets.
-    """
-    if a.alphabet != b.alphabet:
-        raise AutomatonError("product: alphabet mismatch")
-    states = frozenset(itertools.product(a.states, b.states))
-    initial = frozenset(itertools.product(a.initial, b.initial))
-    if final_mode == "both":
-        final = frozenset(itertools.product(a.final, b.final))
-    elif final_mode == "either":
-        final = frozenset(
-            (p, q) for p, q in states if p in a.final or q in b.final
-        )
-    else:
-        raise AutomatonError(f"unknown final_mode {final_mode!r}")
-
-    succ: dict = {}
-    for p in a.states:
-        for q in b.states:
-            for sym in a.alphabet.symbols:
-                ts = a.step(p, sym)
-                us = b.step(q, sym)
-                if ts and us:
-                    succ[((p, q), sym)] = frozenset(itertools.product(ts, us))
-
-    limit: dict = {}
-    for left_a, tgt_a in a.limit.items():
-        for left_b, tgt_b in b.limit.items():
-            tgt = frozenset(itertools.product(tgt_a, tgt_b))
-            for left in _full_projection_subsets(left_a, left_b):
-                limit[left] = limit.get(left, frozenset()) | tgt
-    return OrdinalAutomaton(states, a.alphabet, initial, final, succ, limit)
-
-
-def _full_projection_subsets(left_a: frozenset, left_b: frozenset) -> Iterable[frozenset]:
-    """All S <= A x B with proj_1 S = A and proj_2 S = B.
-
-    Degenerate shapes (either side a singleton) are handled without
-    enumeration since they are by far the common case in practice.
-    """
-    la, lb = sorted(left_a, key=repr), sorted(left_b, key=repr)
-    if len(la) == 1:
-        p = la[0]
-        yield frozenset((p, q) for q in lb)
-        return
-    if len(lb) == 1:
-        q = lb[0]
-        yield frozenset((p, q) for p in la)
-        return
-    pairs = [(p, q) for p in la for q in lb]
-    n = len(pairs)
-    if n > 16:
-        raise AutomatonError(
-            f"limit product too large: {len(la)}x{len(lb)} left sets"
-        )
-    for mask in range(1, 1 << n):
-        sel = [pairs[i] for i in range(n) if mask >> i & 1]
-        if {p for p, _ in sel} == set(la) and {q for _, q in sel} == set(lb):
-            yield frozenset(sel)
-
-
-def union(a: OrdinalAutomaton, b: OrdinalAutomaton) -> OrdinalAutomaton:
-    """Disjoint union via tagging; accepts the union language."""
-    if a.alphabet != b.alphabet:
-        raise AutomatonError("union: alphabet mismatch")
-
-    def ta(q: State) -> tuple:
-        return (0, q)
-
-    def tb(q: State) -> tuple:
-        return (1, q)
-
-    states = frozenset(map(ta, a.states)) | frozenset(map(tb, b.states))
-    initial = frozenset(map(ta, a.initial)) | frozenset(map(tb, b.initial))
-    final = frozenset(map(ta, a.final)) | frozenset(map(tb, b.final))
-    succ = {
-        (ta(q), s): frozenset(map(ta, v)) for (q, s), v in a.succ.items()
-    }
-    succ.update(
-        {(tb(q), s): frozenset(map(tb, v)) for (q, s), v in b.succ.items()}
-    )
-    limit = {
-        frozenset(map(ta, k)): frozenset(map(ta, v)) for k, v in a.limit.items()
-    }
-    limit.update(
-        {frozenset(map(tb, k)): frozenset(map(tb, v)) for k, v in b.limit.items()}
-    )
-    return OrdinalAutomaton(states, a.alphabet, initial, final, succ, limit)
+# -- constructions --------------------------------------------------------
 
 
 def reindex(aut: OrdinalAutomaton, arity: int, coords: Sequence[int]) -> OrdinalAutomaton:
@@ -252,22 +147,26 @@ def reindex(aut: OrdinalAutomaton, arity: int, coords: Sequence[int]) -> Ordinal
     ``coords[i]`` says which coordinate of the wide symbol feeds the
     automaton's i-th input track.  Repeats are allowed (equating
     tracks); unmentioned coordinates are unconstrained.  An automaton
-    over a plain (non-product) alphabet counts as one-track.
+    over a plain (non-product) alphabet counts as one-track.  With
+    ``arity == 1`` the result reads the scalar alphabet, and a
+    one-track automaton over it is returned as it is.
     """
-    base = aut.alphabet.base
-    r = aut.alphabet.arity
-    scalar = base is None or r is None
-    if scalar:
-        base, r = aut.alphabet, 1
-    if len(coords) != r:
-        raise AutomatonError(f"reindex: expected {r} coordinates, got {len(coords)}")
+    ab = aut.alphabet
+    if len(coords) != ab.tracks:
+        raise AutomatonError(
+            f"reindex: expected {ab.tracks} coordinates, got {len(coords)}"
+        )
     if any(c < 0 or c >= arity for c in coords):
         raise AutomatonError("reindex: coordinate out of range")
-    wide = product_alphabet(base, arity)
+    plain = ab.scalar is ab
+    if arity == 1 and plain:
+        return aut
+    wide = product_alphabet(ab.scalar, arity) if arity > 1 else ab.scalar
 
     succ: dict = {}
     for wsym in wide.symbols:
-        narrow = wsym[coords[0]] if scalar else tuple(wsym[c] for c in coords)
+        cells = wsym if arity > 1 else (wsym,)
+        narrow = cells[coords[0]] if plain else tuple(cells[c] for c in coords)
         for q in aut.states:
             targets = aut.step(q, narrow)
             if targets:
@@ -275,13 +174,6 @@ def reindex(aut: OrdinalAutomaton, arity: int, coords: Sequence[int]) -> Ordinal
     return OrdinalAutomaton(
         aut.states, wide, aut.initial, aut.final, succ, dict(aut.limit)
     )
-
-
-def cylindrify(aut: OrdinalAutomaton, arity: int, occupied: Sequence[int]) -> OrdinalAutomaton:
-    """Special case of :func:`reindex` for a strictly increasing track list."""
-    if list(occupied) != sorted(set(occupied)):
-        raise AutomatonError("cylindrify: occupied tracks must strictly increase")
-    return reindex(aut, arity, occupied)
 
 
 def equality_automaton(base: Alphabet) -> OrdinalAutomaton:
@@ -327,35 +219,58 @@ def automaton_to_dict(aut: OrdinalAutomaton) -> dict:
     }
 
 
+def _strings(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise AutomatonError(f"automaton JSON: {what} must be a list of strings")
+    return value
+
+
 def automaton_from_dict(data: dict) -> OrdinalAutomaton:
+    if not isinstance(data, dict):
+        raise AutomatonError("automaton JSON must be an object")
     try:
-        symbols = frozenset(parse_symbol(s) for s in data["alphabet"])
-        blank = parse_symbol(data["blank"])
-        states = frozenset(data["states"])
-        initial = frozenset(data["initial"])
-        final = frozenset(data["final"])
+        symbols = frozenset(map(parse_symbol, _strings(data["alphabet"], "alphabet")))
+        blank = data["blank"]
+        states = frozenset(_strings(data["states"], "states"))
+        initial = frozenset(_strings(data["initial"], "initial"))
+        final = frozenset(_strings(data["final"], "final"))
         raw_succ = data["succ"]
         raw_limit = data["limit"]
     except KeyError as exc:
         raise AutomatonError(f"automaton JSON missing field {exc}") from None
-    arity = None
-    for s in symbols:
-        if isinstance(s, tuple):
-            arity = len(s)
+    if not isinstance(blank, str):
+        raise AutomatonError("automaton JSON: blank must be a string")
+    blank = parse_symbol(blank)
+    if not isinstance(raw_succ, list) or not isinstance(raw_limit, list):
+        raise AutomatonError("automaton JSON: succ and limit must be lists")
+    arities = {len(s) if isinstance(s, tuple) else None for s in symbols | {blank}}
+    if len(arities) != 1:
+        raise AutomatonError("automaton JSON: symbols differ in track count")
+    arity = arities.pop()
     if arity is not None:
-        base_syms = frozenset(c for s in symbols if isinstance(s, tuple) for c in s)
-        base = Alphabet(base_syms, blank[0] if isinstance(blank, tuple) else blank)
+        base_syms = frozenset(c for s in symbols for c in s)
+        base = Alphabet(base_syms, blank[0])
         alpha_bet = Alphabet(symbols, blank, base=base, arity=arity)
     else:
         alpha_bet = Alphabet(symbols, blank)
     succ: dict = {}
-    for src, sym, dst in raw_succ:
+    for entry in raw_succ:
+        if len(_strings(entry, "a succ entry")) != 3:
+            raise AutomatonError(
+                f"automaton JSON: succ entry {entry!r} is not [state, symbol, state]"
+            )
+        src, sym, dst = entry
         key = (src, parse_symbol(sym))
         succ[key] = succ.get(key, frozenset()) | {dst}
     limit: dict = {}
-    for left, dst in raw_limit:
-        key = frozenset(left)
-        limit[key] = limit.get(key, frozenset()) | {dst}
+    for entry in raw_limit:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[1], str)):
+            raise AutomatonError(
+                f"automaton JSON: limit entry {entry!r} is not [[state, ...], state]"
+            )
+        key = frozenset(_strings(entry[0], "a limit left set"))
+        limit[key] = limit.get(key, frozenset()) | {entry[1]}
     return make_automaton(states, alpha_bet, initial, final, succ, limit)
 
 

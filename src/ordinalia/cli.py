@@ -16,18 +16,10 @@ import json
 import random
 import sys
 
+from . import examples as ex
 from .automata import AutomatonError, automaton_to_dict, load_automaton
 from .gapcode import GapError
-from .growth import (
-    GrowthError,
-    RelationFamily,
-    growth_bound_probe,
-    k_const,
-    normalize,
-    rado_growth_demo,
-    squaring_experiment,
-    u_iter_set,
-)
+from .growth import GrowthError, RelationFamily, k_const, normalize, u_iter_set
 from .logic import (
     LogicError,
     decide,
@@ -59,11 +51,6 @@ def _emit(report: dict, json_out: str | None) -> None:
         payload = json.dumps(report, sort_keys=True, indent=2, default=str)
         with open(json_out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
-
-
-def _base_alphabet(aut):
-    ab = aut.alphabet
-    return ab.base if ab.base is not None else ab
 
 
 def _cmd_member(args) -> int:
@@ -138,7 +125,7 @@ def _cmd_umset(args) -> int:
 
 def _cmd_normalize(args) -> int:
     auts = [load_automaton(path) for path in args.automaton]
-    base = _base_alphabet(auts[0])
+    base = auts[0].alphabet.scalar
     v = parse_word(args.word, base)
     family = RelationFamily(tuple(auts), v.length)
     params = [parse_word(text, base) for text in args.param]
@@ -157,9 +144,9 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_growth(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
-    probe = growth_bound_probe(max_stage=args.stages, rng=rng)
-    rado = rado_growth_demo(args.rado)
-    squaring = squaring_experiment(args.squaring)
+    probe = ex.growth_bound_probe(max_stage=args.stages, rng=rng)
+    rado = ex.rado_growth_demo(args.rado)
+    squaring = ex.squaring_experiment(args.squaring)
     print("triangular family: stage, parameters, count, ratio")
     for row in probe:
         print(f"  {row.stage}  {row.parameter_count}  {row.nu}  {row.ratio}")
@@ -215,8 +202,6 @@ def _cmd_saturate(args) -> int:
 
 
 def _example_registry() -> dict:
-    from . import examples as ex
-
     return {
         "presburger": (
             "naturals with addition, base-2 least-significant-first",

@@ -1,6 +1,7 @@
-"""Worked fixtures: orders, a self-similar word family, base-2 arithmetic.
+"""Worked fixtures: orders, a self-similar word family, base-2 arithmetic,
+and the growth probes.
 
-Three groups of building blocks live here.
+Four groups of building blocks live here.
 
 * Generic comparison relations usable in any presentation: letterwise
   well-order on finite-support words (largest differing position
@@ -16,29 +17,42 @@ Three groups of building blocks live here.
 * A small Presburger presentation (naturals with addition, base 2,
   least significant digit first) plus a battery of sentences with
   known truth values, used to exercise the decision pipeline.
+
+* The growth probes: distinguishable-element counts for the triangular
+  family, the bit graph and affine maps over carry-less polynomials.
+  Each outgrows every linear bound in the number of parameters, which
+  no automaton-presented family does.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .automata import OrdinalAutomaton, make_automaton, reindex
+from .growth import GrowthError, RelationFamily, nu_of_E
+from .logic import Presentation
 from .ordinals import ONE, OMEGA, ZERO, Ordinal, add, interval_type, omega_power
-from .semantics import compose, identity_relation, const_reach, reach_power
-from .words import Alphabet, AlphaWord, Symbol, WordError, alphabet, make_word
+from .semantics import compose, identity_relation, const_reach, reach_power, member
+from .words import (
+    Alphabet,
+    AlphaWord,
+    Symbol,
+    WordError,
+    _symbol_rank,
+    alphabet,
+    blank_word,
+    convolve,
+    make_word,
+    product_alphabet,
+)
 
 AB = alphabet({"a", "b"})
 
 
 # -- comparison relations ----------------------------------------------------
-
-
-def _symbol_rank(base: Alphabet) -> dict:
-    order = [base.blank] + sorted(
-        (s for s in base.symbols if s != base.blank), key=repr
-    )
-    return {s: i for i, s in enumerate(order)}
 
 
 def compare_words(x: AlphaWord, y: AlphaWord) -> int:
@@ -54,16 +68,6 @@ def compare_words(x: AlphaWord, y: AlphaWord) -> int:
     return -1 if rank[x.at(top)] < rank[y.at(top)] else 1
 
 
-def word_sort_key(w: AlphaWord):
-    """Sort key realizing the same order as :func:`compare_words`.
-
-    Entries listed from the highest position down compare
-    lexicographically in exactly largest-difference order.
-    """
-    rank = _symbol_rank(w.alphabet)
-    return tuple((p._key(), rank[s]) for p, s in reversed(w.entries))
-
-
 def wellorder_automaton(base: Alphabet) -> OrdinalAutomaton:
     """Binary relation x <= y in the largest-differing-position order.
 
@@ -71,8 +75,6 @@ def wellorder_automaton(base: Alphabet) -> OrdinalAutomaton:
     ones.  Finite supports make the verdict eventually constant below
     every limit, so only singleton limit sets occur.
     """
-    from .words import product_alphabet
-
     pair = product_alphabet(base, 2)
     rank = _symbol_rank(base)
     states = {"EQ", "LT", "GT"}
@@ -91,8 +93,6 @@ def wellorder_automaton(base: Alphabet) -> OrdinalAutomaton:
 
 def subsupp_automaton(base: Alphabet) -> OrdinalAutomaton:
     """Binary relation supp(x) is contained in supp(y)."""
-    from .words import product_alphabet
-
     pair = product_alphabet(base, 2)
     succ = {
         ("ok", (s, t)): frozenset({"ok"})
@@ -183,8 +183,6 @@ def f_automaton(tag: Symbol) -> OrdinalAutomaton:
     * ("lim", c) — at a limit position, where u must show c;
     * "acc" — after the final limit jump.
     """
-    from .words import product_alphabet
-
     if tag not in ("a", "b"):
         raise WordError(f"tag must be a letter, got {tag!r}")
     triple = product_alphabet(AB, 3)
@@ -290,8 +288,6 @@ def presburger_plus() -> OrdinalAutomaton:
     the decision pipeline relativizes every variable to the domain
     language, which restores the intended model.
     """
-    from .words import product_alphabet
-
     triple = product_alphabet(BITS, 3)
 
     def bit(s: Symbol) -> int:
@@ -330,8 +326,6 @@ def decode_natural(w: AlphaWord) -> int:
 
 
 def presburger_presentation():
-    from .logic import Presentation
-
     return Presentation(
         alpha=OMEGA,
         domain=presburger_domain(),
@@ -365,3 +359,134 @@ PRESBURGER_SENTENCES: tuple = (
     ("(exists x (forall y (Plus y x y)))", True),
     ("(forall x (exists y (Plus x x y)))", True),
 )
+
+
+# -- growth probes -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ProbeRow:
+    stage: int
+    parameter_count: int
+    nu: int
+
+    @property
+    def ratio(self) -> Fraction:
+        return Fraction(self.nu, self.parameter_count)
+
+
+def growth_bound_probe(max_stage: int = 2, rng=None):
+    """Distinguishability of the triangular family, stage by stage.
+
+    Stage n uses the stage-n words as parameters and measures the
+    family's count over the stage-(n+1) words (plus one filler).  The
+    first two stages are evaluated straight off the generator-graph
+    automata; the last stage builds signatures by running the
+    generators forward, cross-checked against the automata on 40
+    random triples when an rng is supplied.
+    """
+    family = RelationFamily(tuple(generator_relations()), W2)
+    tags = ("a", "b")
+    rows: list[ProbeRow] = []
+    for n in range(max_stage + 1):
+        E = list(tn_words(n))
+        universe = list(tn_words(n + 1)) + [blank_word(W2, AB)]
+        fsets = [frozenset(tn_words(n)), frozenset(tn_words(n + 1))]
+        if n <= 1:
+            nu = nu_of_E(family, E, universe, free_family=fsets)
+        else:
+            produced: dict = {}
+            for t, tag in enumerate(tags):
+                for wi, w in enumerate(E):
+                    for vi, ve in enumerate(E):
+                        u = f_apply(tag, w, ve)
+                        produced.setdefault(u, set()).add((t, wi, vi))
+            sig_fn = lambda u: frozenset(produced.get(u, ()))
+            nu = nu_of_E(family, E, universe, free_family=fsets,
+                         signature_fn=sig_fn)
+            if rng is not None:
+                for _ in range(40):
+                    tag = rng.choice(tags)
+                    w = rng.choice(E)
+                    ve = rng.choice(E)
+                    u = rng.choice(universe)
+                    aut = family.automata[tags.index(tag)]
+                    got = member(aut, convolve([u, w, ve]))
+                    if got != (u == f_apply(tag, w, ve)):
+                        raise GrowthError(
+                            "generator automaton disagrees with direct application"
+                        )
+        rows.append(ProbeRow(n, len(E), nu))
+    return tuple(rows)
+
+
+def rado_edge(i: int, j: int) -> bool:
+    """Adjacency of the bit graph on the naturals: the smaller index
+    reads a set bit of the larger."""
+    lo, hi = sorted((i, j))
+    return lo != hi and bool((hi >> lo) & 1)
+
+
+@dataclass(frozen=True)
+class RadoRow:
+    n: int
+    nu: int
+
+
+def rado_growth_demo(max_n: int = 4):
+    """Classes of the bit graph against parameters 0..n-1: always 2^n.
+
+    The window [0, 2^(n+1)) already realizes every adjacency pattern,
+    so the count is exact, and it exceeds n*k for every fixed k once n
+    is large enough — the growth no automaton-presented family attains.
+    """
+    rows = []
+    for n in range(max_n + 1):
+        sigs = {
+            tuple(rado_edge(x, e) for e in range(n))
+            for x in range(1 << (n + 1))
+        }
+        rows.append(RadoRow(n, len(sigs)))
+    return tuple(rows)
+
+
+def _polymul(a: int, b: int) -> int:
+    """Carry-less product: polynomials over the two-element field as bits."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+@dataclass(frozen=True)
+class SquaringRow:
+    support: int
+    slope: int
+    pair_count: int
+    distinct: int
+
+
+def squaring_experiment(max_support: int = 3):
+    """Affine-map growth over the carry-less polynomial ring.
+
+    For the parameter with support {0..s-1}, search the minimal slope x
+    making (a, b) -> a*x + b injective on pairs from the parameter's
+    subset lattice, then count the image.  The count is 4^s: a single
+    parameter of size s supports quadratically-exponentially many
+    distinguishable values, which is the shape of argument that rules
+    out automaton presentations of rings with such definable maps.
+    """
+    rows = []
+    for s in range(1, max_support + 1):
+        subs = list(range(1 << s))
+        x = 0
+        while True:
+            vals = {_polymul(a, x) ^ b for a in subs for b in subs}
+            if len(vals) == len(subs) ** 2:
+                break
+            x += 1
+        rows.append(SquaringRow(s, x, len(subs) ** 2, len(vals)))
+    return tuple(rows)

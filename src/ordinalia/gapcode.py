@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import OrdinalAutomaton
@@ -182,10 +182,7 @@ def cap_policy(working: Iterable[OrdinalAutomaton], alpha: Ordinal) -> CapPolicy
     gets computed (the product itself is never built).
     """
     auts = list(working)
-    bases = {
-        aut.alphabet.base if aut.alphabet.base is not None else aut.alphabet
-        for aut in auts
-    }
+    bases = {aut.alphabet.scalar for aut in auts}
     if len(bases) > 1:
         raise GapError("cap_policy: automata must share a base alphabet")
     thresholds: list[int] = []
@@ -228,18 +225,14 @@ class GapNFA:
     def step(self, q: object, gsym: tuple) -> frozenset:
         return self.delta.get((q, gsym), frozenset())
 
-    def letters(self) -> list[Symbol]:
-        blank = self.alphabet.blank
-        return sorted((s for s in self.alphabet.symbols if s != blank), key=repr)
-
     def symbols(self) -> Iterator[tuple]:
         for cls in self.policy.all_classes():
             yield ("gap", cls)
-        for s in self.letters():
+        for s in self.alphabet.letters():
             yield ("let", s)
 
     def symbol_count(self) -> int:
-        return self.policy.class_count() + len(self.letters())
+        return self.policy.class_count() + len(self.alphabet.letters())
 
     @property
     def size(self) -> int:
@@ -278,7 +271,7 @@ def shape_nfa(policy: CapPolicy, alpha_bet: Alphabet) -> GapNFA:
     word is accepted iff some (equivalently, every) concretization of
     its gaps sums to exactly alpha.
     """
-    letters = sorted((s for s in alpha_bet.symbols if s != alpha_bet.blank), key=repr)
+    letters = alpha_bet.letters()
     one = policy.one_class
     start = ("gap", policy.zero_class)
     states = {start}
@@ -322,7 +315,6 @@ def to_gap_nfa(
     aut: OrdinalAutomaton,
     policy: CapPolicy,
     alpha: Ordinal | None = None,
-    check: bool = True,
 ) -> GapNFA:
     """Factor an ordinal automaton through gap classes.
 
@@ -334,8 +326,7 @@ def to_gap_nfa(
     """
     if alpha is not None and alpha != policy.alpha:
         raise GapError(f"alpha {alpha} does not match policy alpha {policy.alpha}")
-    if check:
-        _check_coverage(aut, policy)
+    _check_coverage(aut, policy)
     blank = aut.alphabet.blank
     delta: dict = {}
     for cls in policy.all_classes():
@@ -451,7 +442,7 @@ def trim(nfa: GapNFA) -> GapNFA:
     )
 
 
-def determinize(nfa: GapNFA, max_states: int = MAX_DFA_STATES) -> GapNFA:
+def determinize(nfa: GapNFA) -> GapNFA:
     """Total subset-construction DFA (state sets as frozensets)."""
     if nfa.symbol_count() > MAX_ABSTRACT_SYMBOLS:
         raise ResourceLimitExceeded(
@@ -470,9 +461,9 @@ def determinize(nfa: GapNFA, max_states: int = MAX_DFA_STATES) -> GapNFA:
             delta[(cur, gs)] = {nxt}
             if nxt not in states:
                 states.add(nxt)
-                if len(states) > max_states:
+                if len(states) > MAX_DFA_STATES:
                     raise ResourceLimitExceeded(
-                        f"determinization exceeded {max_states} states"
+                        f"determinization exceeded {MAX_DFA_STATES} states"
                     )
                 queue.append(nxt)
     final = frozenset(s for s in states if s & nfa.final)
@@ -503,9 +494,9 @@ def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
     neighboring gaps; the merge g (+1+g')* is carried out in capped
     class arithmetic by a search over (state, accumulated class).
     """
-    base = nfa.alphabet.base
-    r = nfa.alphabet.arity
-    if base is None or r is None or r < 2:
+    base = nfa.alphabet.scalar
+    r = nfa.alphabet.tracks
+    if r < 2:
         raise GapError("exists_project needs a product alphabet of arity >= 2")
     if not 0 <= coord < r:
         raise GapError(f"coordinate {coord} out of range for arity {r}")
@@ -518,7 +509,7 @@ def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
     policy = nfa.policy
     one = policy.one_class
     erasable = [
-        ("let", s) for s in nfa.letters() if proj(s) == narrow.blank
+        ("let", s) for s in nfa.alphabet.letters() if proj(s) == narrow.blank
     ]
     gap_syms = [("gap", cls) for cls in policy.all_classes()]
 

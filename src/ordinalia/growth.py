@@ -1,4 +1,4 @@
-"""Distinguishability growth: free sets, support normalization, probes.
+"""Distinguishability growth: free sets and support normalization.
 
 Fix a family of relations given by automata (first track distinguished)
 and a finite parameter set E.  Two words are equivalent when no
@@ -9,8 +9,8 @@ of size m can support — for automaton-presented relations this grows
 at most linearly in m once supports are normalized into a small
 neighborhood of the parameters' supports, while natural non-automatic
 structures (the random graph, definable affine maps over a polynomial
-ring) blow past every linear bound.  The probes at the bottom of this
-module put numbers on both sides of that contrast.
+ring) blow past every linear bound.  The growth probes, kept with the
+worked fixtures, put numbers on both sides of that contrast.
 
 The normalization machinery mirrors the linear-bound argument: every
 word is equivalent to one whose support lies in the neighborhood
@@ -24,20 +24,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .automata import OrdinalAutomaton
 from .ordinals import ONE, ZERO, Ordinal, add, interval_type, omega_power
 from .semantics import ResourceLimitExceeded, member, run_relation
 from .words import (
     AlphaWord,
-    Symbol,
     blank_word,
     concat,
     convolve,
     restrict,
     support,
+    word_sort_key,
 )
 
 U_ENUM_MAX = 8
@@ -65,22 +64,16 @@ class RelationFamily:
         object.__setattr__(self, "automata", tuple(self.automata))
         if not self.automata:
             raise GrowthError("a relation family needs at least one automaton")
-        bases = {self._base(aut) for aut in self.automata}
+        bases = {aut.alphabet.scalar for aut in self.automata}
         if len(bases) > 1:
             raise GrowthError("family automata must share a base alphabet")
 
-    @staticmethod
-    def _base(aut: OrdinalAutomaton):
-        ab = aut.alphabet
-        return ab.base if ab.base is not None else ab
-
     @property
     def base_alphabet(self):
-        return self._base(self.automata[0])
+        return self.automata[0].alphabet.scalar
 
     def params(self, aut: OrdinalAutomaton) -> int:
-        ab = aut.alphabet
-        return (ab.arity - 1) if ab.arity is not None else 0
+        return aut.alphabet.tracks - 1
 
 
 def k_const(family: RelationFamily) -> int:
@@ -140,18 +133,15 @@ def maximal_free_set(
     family: RelationFamily,
     E: Sequence[AlphaWord],
     universe: Iterable[AlphaWord],
-    key: Callable | None = None,
 ) -> FreeSetReport:
     """Greedy maximal pairwise-distinguishable subset of the universe.
 
-    Scanning order is the caller's key (defaults to the well-order used
-    elsewhere), and the first representative of every equivalence class
-    gets picked, so the result is deterministic and genuinely maximal:
-    anything left out is equivalent to something inside.
+    Scanning follows :func:`~ordinalia.words.word_sort_key`, and the
+    first representative of every equivalence class gets picked, so the
+    result is deterministic and genuinely maximal: anything left out is
+    equivalent to something inside.
     """
-    from .examples import word_sort_key
-
-    scan = sorted(universe, key=key or word_sort_key)
+    scan = sorted(universe, key=word_sort_key)
     seen: set = set()
     members: list[AlphaWord] = []
     for w in scan:
@@ -180,8 +170,6 @@ def nu_of_E(
     be inflated by a lucky transversal.  ``signature_fn`` substitutes a
     precomputed signature for the automaton-evaluated one.
     """
-    from .examples import word_sort_key
-
     sig = signature_fn or (lambda w: signature(family, E, w))
     classes: dict = {}
     for w in sorted(universe, key=word_sort_key):
@@ -489,136 +477,3 @@ def _transplant(
     if not equiv(family, E, v, pieces):
         raise GrowthError("transplant failed re-verification; m too small")
     return pieces
-
-
-# -- probes --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbeRow:
-    stage: int
-    parameter_count: int
-    nu: int
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.nu, self.parameter_count)
-
-
-def growth_bound_probe(max_stage: int = 2, rng=None, cross_checks: int = 40):
-    """Distinguishability of the triangular family, stage by stage.
-
-    Stage n uses the stage-n words as parameters and measures the
-    family's count over the stage-(n+1) words (plus one filler).  The
-    first two stages are evaluated straight off the generator-graph
-    automata; the last stage builds signatures by running the
-    generators forward, cross-checked against the automata on random
-    triples when an rng is supplied.
-    """
-    from .examples import AB, W2, f_apply, generator_relations, tn_words
-
-    family = RelationFamily(tuple(generator_relations()), W2)
-    tags = ("a", "b")
-    rows: list[ProbeRow] = []
-    for n in range(max_stage + 1):
-        E = list(tn_words(n))
-        universe = list(tn_words(n + 1)) + [blank_word(W2, AB)]
-        fsets = [frozenset(tn_words(n)), frozenset(tn_words(n + 1))]
-        if n <= 1:
-            nu = nu_of_E(family, E, universe, free_family=fsets)
-        else:
-            produced: dict = {}
-            for t, tag in enumerate(tags):
-                for wi, w in enumerate(E):
-                    for vi, ve in enumerate(E):
-                        u = f_apply(tag, w, ve)
-                        produced.setdefault(u, set()).add((t, wi, vi))
-            sig_fn = lambda u: frozenset(produced.get(u, ()))
-            nu = nu_of_E(family, E, universe, free_family=fsets,
-                         signature_fn=sig_fn)
-            if rng is not None:
-                for _ in range(cross_checks):
-                    tag = rng.choice(tags)
-                    w = rng.choice(E)
-                    ve = rng.choice(E)
-                    u = rng.choice(universe)
-                    aut = family.automata[tags.index(tag)]
-                    got = member(aut, convolve([u, w, ve]))
-                    if got != (u == f_apply(tag, w, ve)):
-                        raise GrowthError(
-                            "generator automaton disagrees with direct application"
-                        )
-        rows.append(ProbeRow(n, len(E), nu))
-    return tuple(rows)
-
-
-def rado_edge(i: int, j: int) -> bool:
-    """Adjacency of the bit graph on the naturals: the smaller index
-    reads a set bit of the larger."""
-    lo, hi = sorted((i, j))
-    return lo != hi and bool((hi >> lo) & 1)
-
-
-@dataclass(frozen=True)
-class RadoRow:
-    n: int
-    nu: int
-
-
-def rado_growth_demo(max_n: int = 4):
-    """Classes of the bit graph against parameters 0..n-1: always 2^n.
-
-    The window [0, 2^(n+1)) already realizes every adjacency pattern,
-    so the count is exact, and it exceeds n*k for every fixed k once n
-    is large enough — the growth no automaton-presented family attains.
-    """
-    rows = []
-    for n in range(max_n + 1):
-        sigs = {
-            tuple(rado_edge(x, e) for e in range(n))
-            for x in range(1 << (n + 1))
-        }
-        rows.append(RadoRow(n, len(sigs)))
-    return tuple(rows)
-
-
-def _polymul(a: int, b: int) -> int:
-    """Carry-less product: polynomials over the two-element field as bits."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
-@dataclass(frozen=True)
-class SquaringRow:
-    support: int
-    slope: int
-    pair_count: int
-    distinct: int
-
-
-def squaring_experiment(max_support: int = 3):
-    """Affine-map growth over the carry-less polynomial ring.
-
-    For the parameter with support {0..s-1}, search the minimal slope x
-    making (a, b) -> a*x + b injective on pairs from the parameter's
-    subset lattice, then count the image.  The count is 4^s: a single
-    parameter of size s supports quadratically-exponentially many
-    distinguishable values, which is the shape of argument that rules
-    out automaton presentations of rings with such definable maps.
-    """
-    rows = []
-    for s in range(1, max_support + 1):
-        subs = list(range(1 << s))
-        x = 0
-        while True:
-            vals = {_polymul(a, x) ^ b for a in subs for b in subs}
-            if len(vals) == len(subs) ** 2:
-                break
-            x += 1
-        rows.append(SquaringRow(s, x, len(subs) ** 2, len(vals)))
-    return tuple(rows)

@@ -24,6 +24,7 @@ from . import automata as au
 from . import gapcode as gc
 from .automata import OrdinalAutomaton
 from .ordinals import Ordinal, format_ordinal, parse_ordinal
+from .semantics import member
 from .words import Alphabet, component, convolve
 
 CONNECTIVES = {"and", "or", "not", "->"}
@@ -186,25 +187,21 @@ class Presentation:
     def __post_init__(self) -> None:
         base = self.base_alphabet
         for name, (arity, aut) in self.relations.items():
-            got = aut.alphabet.arity if aut.alphabet.base is not None else 1
+            got = aut.alphabet.tracks
             if got != arity:
                 raise LogicError(f"relation {name!r}: automaton has {got} tracks, "
                                  f"declared arity {arity}")
-            if self._scalar(aut.alphabet) != base:
+            if aut.alphabet.scalar != base:
                 raise LogicError(f"relation {name!r}: alphabet mismatch")
         if self.equality is not None and (
             self.equality.alphabet.arity != 2
-            or self._scalar(self.equality.alphabet) != base
+            or self.equality.alphabet.scalar != base
         ):
             raise LogicError("equality automaton must be binary over the alphabet")
 
-    @staticmethod
-    def _scalar(alpha_bet: Alphabet) -> Alphabet:
-        return alpha_bet.base if alpha_bet.base is not None else alpha_bet
-
     @property
     def base_alphabet(self) -> Alphabet:
-        return self._scalar(self.domain.alphabet)
+        return self.domain.alphabet.scalar
 
     @property
     def signature(self) -> dict:
@@ -242,18 +239,27 @@ def presentation_to_dict(pres: Presentation) -> dict:
 
 
 def presentation_from_dict(data: dict) -> Presentation:
+    if not isinstance(data, dict):
+        raise LogicError("malformed presentation: not a JSON object")
     try:
-        alpha = parse_ordinal(data["alpha"])
+        raw_alpha, raw_relations = data["alpha"], data["relations"]
         domain = au.automaton_from_dict(data["domain"])
-        relations = {
-            name: (entry["arity"], au.automaton_from_dict(entry["automaton"]))
-            for name, entry in data["relations"].items()
-        }
-        raw_eq = data.get("equality", "letterwise")
-    except (KeyError, TypeError) as exc:
-        raise LogicError(f"malformed presentation: {exc}") from None
+    except KeyError as exc:
+        raise LogicError(f"malformed presentation: missing field {exc}") from None
+    if not isinstance(raw_alpha, str):
+        raise LogicError("malformed presentation: alpha must be an ordinal literal")
+    if not isinstance(raw_relations, dict):
+        raise LogicError("malformed presentation: relations must be an object")
+    relations = {}
+    for name, entry in raw_relations.items():
+        if not (isinstance(entry, dict) and "automaton" in entry
+                and type(entry.get("arity")) is int):
+            raise LogicError(f"malformed presentation: relation {name!r} needs "
+                             "an integer arity and an automaton")
+        relations[name] = (entry["arity"], au.automaton_from_dict(entry["automaton"]))
+    raw_eq = data.get("equality", "letterwise")
     equality = None if raw_eq == "letterwise" else au.automaton_from_dict(raw_eq)
-    return Presentation(alpha, domain, relations, equality)
+    return Presentation(parse_ordinal(raw_alpha), domain, relations, equality)
 
 
 def save_presentation(pres: Presentation, path: str) -> None:
@@ -270,35 +276,11 @@ def load_presentation(path: str) -> Presentation:
 # -- compilation -------------------------------------------------------------
 
 
-def _widen(aut: OrdinalAutomaton, n: int, coords: tuple[int, ...]) -> OrdinalAutomaton:
-    """Place a relation automaton onto tracks ``coords`` of an n-track tape.
-
-    For n == 1 the result stays over the scalar alphabet (every listed
-    track reads the same symbol); otherwise it is a plain reindexing.
-    """
-    if n > 1:
-        return au.reindex(aut, n, coords)
-    if aut.alphabet.base is None:
-        return aut
-    base = aut.alphabet.base
-    succ: dict = {}
-    for sym in base.symbols:
-        narrow = tuple(sym for _ in coords)
-        for q in aut.states:
-            targets = aut.step(q, narrow)
-            if targets:
-                succ[(q, sym)] = targets
-    return OrdinalAutomaton(
-        aut.states, base, aut.initial, aut.final, succ, dict(aut.limit)
-    )
-
-
 def _atom_nfa(pres: Presentation, key: tuple, aut: OrdinalAutomaton,
               n: int, coords: tuple[int, ...]) -> gc.GapNFA:
     cached = pres._atom_nfas.get((key, n, coords))
     if cached is None:
-        wide = _widen(aut, n, coords)
-        cached = gc.to_gap_nfa(wide, pres.policy())
+        cached = gc.to_gap_nfa(au.reindex(aut, n, coords), pres.policy())
         pres._atom_nfas[(key, n, coords)] = cached
     return cached
 
@@ -394,6 +376,10 @@ def decide(f: Formula, pres: Presentation) -> bool:
                           subs=(Formula("not", subs=(f.subs[0],)),))
         return not decide(flipped, pres)
     if f.kind == "exists":
+        if f.var not in free_variables(f.subs[0]):
+            # a vacuous quantifier: the domain is nonempty and the body holds
+            domain = _domain_product(pres, 1)
+            return gc.emptiness_witness(domain) is not None and decide(f.subs[0], pres)
         lang = compile_formula(f.subs[0], pres)
         return gc.emptiness_witness(lang) is not None
     raise LogicError("an atom cannot be a sentence")
@@ -404,8 +390,8 @@ def find_witness(f: Formula, pres: Presentation):
 
     The sentence must be a block of existentials over a quantifier-free
     matrix.  Returned words follow the order the variables are bound
-    in; each witness is re-verified atom by atom through direct
-    membership before being handed back.
+    in; each witness is re-verified atom by atom, and checked to lie in
+    the domain, through direct membership before being handed back.
     """
     if free_variables(f):
         raise LogicError("find_witness needs a sentence")
@@ -431,6 +417,8 @@ def find_witness(f: Formula, pres: Presentation):
         assignment = {v: component(word, i) for i, v in enumerate(ambient)}
     if not _eval_quantifier_free(matrix, pres, assignment):
         raise LogicError("witness failed re-verification; compilation bug")
+    if not all(member(pres.domain, w) for w in assignment.values()):
+        raise LogicError("witness word outside the domain; compilation bug")
     missing = [v for v in prefix if v not in assignment]
     if missing:
         raise LogicError(f"quantified variables never used: {missing}")
@@ -445,8 +433,6 @@ def _require_quantifier_free(f: Formula) -> None:
 
 
 def _eval_quantifier_free(f: Formula, pres: Presentation, assignment: Mapping) -> bool:
-    from .semantics import member
-
     if f.kind == "and":
         return all(_eval_quantifier_free(s, pres, assignment) for s in f.subs)
     if f.kind == "or":

@@ -14,12 +14,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 MAX_COEFF = 2**63 - 1
 MAX_EXPONENT = 100_000
-
-LT, EQ, GT = -1, 0, 1
 
 
 class OrdinalError(ValueError):
@@ -113,12 +110,6 @@ def omega_power(k: int, coeff: int = 1) -> Ordinal:
     return Ordinal((0,) * k + (coeff,)) if coeff else ZERO
 
 
-def compare(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0, or 1 (the module constants LT, EQ, GT)."""
-    ka, kb = a._key(), b._key()
-    return LT if ka < kb else GT if ka > kb else EQ
-
-
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum.  Non-commutative: the low part of ``a`` below the
     leading exponent of ``b`` is absorbed."""
@@ -149,27 +140,6 @@ def interval_type(g: Ordinal, d: Ordinal) -> Ordinal:
         raise OrdinalError(f"interval_type: {g} > {d}")
     merged = d.coeffs[:j] + (d.coefficient(j) - g.coefficient(j),)
     return Ordinal(merged)
-
-
-def trunc_tilde(a: Ordinal, n: int) -> tuple[Ordinal, tuple[int, ...]]:
-    """Split a = high + w^n*m_n + ... + m_0 with high divisible by w^(n+1).
-
-    Returns (high, (m_n, ..., m_0)).
-    """
-    if n < 0:
-        raise OrdinalError("negative exponent")
-    high = Ordinal((0,) * (n + 1) + a.coeffs[n + 1 :]) if a.degree > n else ZERO
-    ms = tuple(a.coefficient(i) for i in range(n, -1, -1))
-    return high, ms
-
-
-def omega_shift(a: Ordinal, m: int) -> Ordinal:
-    """w^m * a: every exponent in a is raised by m."""
-    if m < 0:
-        raise OrdinalError("negative exponent")
-    if a.is_zero:
-        return ZERO
-    return Ordinal((0,) * m + a.coeffs)
 
 
 # -- literals -----------------------------------------------------------
@@ -232,11 +202,3 @@ def format_ordinal(a: Ordinal) -> str:
             parts.append(f"w^{k}" if c == 1 else f"w^{k}*{c}")
     return "+".join(parts)
 
-
-def iter_below(bound: Ordinal) -> Iterator[Ordinal]:
-    """All ordinals < bound in increasing order.  Only sensible for small
-    finite bounds; raises otherwise."""
-    if not bound.is_zero and bound.degree > 0:
-        raise OrdinalError("iter_below needs a finite bound")
-    for i in range(bound.coefficient(0)):
-        yield from_int(i)

@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 
 from .ordinals import (
     Ordinal,
-    ZERO,
     add,
     format_ordinal,
     interval_type,
@@ -44,6 +43,16 @@ class Alphabet:
     def __post_init__(self) -> None:
         if self.blank not in self.symbols:
             raise WordError(f"blank {self.blank!r} not among symbols")
+
+    @property
+    def scalar(self) -> "Alphabet":
+        """The alphabet of one track: ``base`` for a product, else itself."""
+        return self.base if self.base is not None else self
+
+    @property
+    def tracks(self) -> int:
+        """How many tracks a symbol carries: ``arity`` for a product, else 1."""
+        return self.arity if self.arity is not None else 1
 
     def letters(self) -> list:
         """Non-blank symbols in a deterministic order."""
@@ -161,6 +170,22 @@ def convolve(ws: Sequence[AlphaWord]) -> AlphaWord:
         (p, tuple(m.get(p, base.blank) for m in maps)) for p in positions
     )
     return AlphaWord(length, prod, entries)
+
+
+def _symbol_rank(base: Alphabet) -> dict:
+    order = [base.blank] + base.letters()
+    return {s: i for i, s in enumerate(order)}
+
+
+def word_sort_key(w: AlphaWord):
+    """Sort key for the order on words of one length: the largest
+    differing position decides, and the blank is least.
+
+    Entries listed from the highest position down compare
+    lexicographically in exactly largest-difference order.
+    """
+    rank = _symbol_rank(w.alphabet)
+    return tuple((p._key(), rank[s]) for p, s in reversed(w.entries))
 
 
 def component(w: AlphaWord, i: int) -> AlphaWord:

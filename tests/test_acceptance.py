@@ -18,7 +18,9 @@ from ordinalia.examples import (
     decode_natural,
     dn_set,
     f_apply,
+    growth_bound_probe,
     presburger_presentation,
+    rado_growth_demo,
     tn_automaton,
     tn_words,
 )
@@ -32,10 +34,8 @@ from ordinalia.growth import (
     RelationFamily,
     bound_u,
     equiv,
-    growth_bound_probe,
     k_const,
     normalize,
-    rado_growth_demo,
     u_contains,
     u_iter_set,
 )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ordinalia.automata import equality_automaton, save_automaton
+from ordinalia.automata import automaton_to_dict, equality_automaton, save_automaton
 from ordinalia.cli import main
 from ordinalia.examples import AB, presburger_presentation, wellorder_automaton
 from ordinalia.logic import save_presentation
@@ -65,6 +65,22 @@ def test_member_malformed_word_is_a_usage_error(eq_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda d: {**d, "succ": [d["succ"][0][:2]]},
+    lambda d: [d],
+    lambda d: {**d, "states": [[q] for q in d["states"]]},
+    # a one-character string used to be read as a set of characters
+    lambda d: {**d, "states": "q", "initial": ["q"], "final": ["q"],
+               "succ": [["q", "a|a", "q"]], "limit": [[["q"], "q"]]},
+])
+def test_member_malformed_automaton_json_is_a_usage_error(mangle, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mangle(automaton_to_dict(equality_automaton(AB)))))
+    assert main(["member", "-a", str(path), "-w", "len=1; {}"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------- decide
 
 
@@ -73,6 +89,15 @@ def test_decide_true_and_false(pres_path, capsys):
     assert capsys.readouterr().out.strip() == "true"
     assert main(["decide", "-p", pres_path, "-f", "(forall x (Plus x x x))"]) == 1
     assert capsys.readouterr().out.strip() == "false"
+
+
+@pytest.mark.parametrize("sentence", [
+    "(exists x (exists y (Plus y y y)))",
+    "(forall x (exists y (Plus y y y)))",
+])
+def test_decide_vacuous_quantifier(pres_path, sentence, capsys):
+    assert main(["decide", "-p", pres_path, "-f", sentence]) == 0
+    assert capsys.readouterr().out.strip() == "true"
 
 
 def test_decide_rejects_open_formulas(pres_path, capsys):

@@ -27,11 +27,10 @@ from ordinalia.examples import (
     tn_automaton,
     tn_words,
     wellorder_automaton,
-    word_sort_key,
 )
 from ordinalia.ordinals import ZERO, Ordinal, from_int, parse_ordinal
 from ordinalia.semantics import member
-from ordinalia.words import blank_word, convolve, make_word, support
+from ordinalia.words import blank_word, convolve, make_word, support, word_sort_key
 
 from conftest import random_finite_word
 

@@ -13,23 +13,27 @@ import pytest
 
 from ordinalia.automata import equality_automaton
 from ordinalia.semantics import ResourceLimitExceeded
-from ordinalia.examples import AB, tn_words, wellorder_automaton
+from ordinalia.examples import (
+    AB,
+    growth_bound_probe,
+    rado_edge,
+    rado_growth_demo,
+    squaring_experiment,
+    tn_words,
+    wellorder_automaton,
+)
 from ordinalia.growth import (
     GrowthError,
     RelationFamily,
     bound_u,
     equiv,
-    growth_bound_probe,
     high_part,
     k_const,
     maximal_free_set,
     normalize,
     nu_of_E,
-    rado_edge,
-    rado_growth_demo,
     shrink_gap,
     signature,
-    squaring_experiment,
     u_contains,
     u_iter_set,
     u_set,

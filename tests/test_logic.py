@@ -108,9 +108,12 @@ def test_decide_rejects_open_formulas(pres):
         decide(parse_formula("(Plus x y z)", SIG), pres)
 
 
-def test_decide_rejects_unused_bound_variable(pres):
-    with pytest.raises(LogicError):
-        decide(parse_formula("(exists x (exists y (Plus y y y)))", SIG), pres)
+def test_decide_reads_vacuous_quantifiers(pres):
+    """A quantified variable the body never uses: the domain is nonempty."""
+    for text in ["(exists x (exists y (Plus y y y)))",
+                 "(forall x (exists y (Plus y y y)))"]:
+        assert decide(parse_formula(text, SIG), pres) is True, text
+    assert not decide(parse_formula("(exists x (forall y (Plus y y y)))", SIG), pres)
 
 
 # ---------------------------------------------------------------- witnesses
@@ -154,6 +157,18 @@ def test_witness_words_live_in_the_domain(pres):
     f = parse_formula("(exists x (= x x))", SIG)
     (w,) = find_witness(f, pres)
     assert encode_natural(decode_natural(w)) == w
+
+
+def test_witness_outside_the_domain_is_rejected(pres, monkeypatch):
+    from ordinalia import logic
+    from ordinalia.gapcode import encode_gaps
+    from ordinalia.words import parse_word
+
+    # 0 + 0 = 0 holds digitwise, but a leading zero digit is no numeral
+    junk = encode_gaps(parse_word("len=w; {0:0}", pres.base_alphabet))
+    monkeypatch.setattr(logic.gc, "emptiness_witness", lambda nfa: junk)
+    with pytest.raises(LogicError, match="domain"):
+        find_witness(parse_formula("(exists x (Plus x x x))", SIG), pres)
 
 
 # ---------------------------------------------------------------- compiling
@@ -211,6 +226,17 @@ def test_presentation_dict_round_trip(pres):
     assert presentation_to_dict(back) == d
     for text, expected in PRESBURGER_SENTENCES[:4]:
         assert decide(parse_formula(text, SIG), back) is expected
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda d: [d],
+    lambda d: {**d, "alpha": 1},
+    lambda d: {**d, "relations": [d["relations"]]},
+    lambda d: {**d, "relations": {"Plus": {"arity": "3", "automaton": d["domain"]}}},
+])
+def test_presentation_from_dict_rejects_malformed_input(pres, mangle):
+    with pytest.raises(LogicError):
+        presentation_from_dict(mangle(presentation_to_dict(pres)))
 
 
 def test_presentation_file_round_trip(pres, tmp_path):

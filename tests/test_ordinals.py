@@ -11,15 +11,11 @@ from ordinalia.ordinals import (
     Ordinal,
     OrdinalError,
     add,
-    compare,
     format_ordinal,
     from_int,
     interval_type,
-    iter_below,
     omega_power,
-    omega_shift,
     parse_ordinal,
-    trunc_tilde,
 )
 
 ordinals = st.lists(st.integers(0, 7), max_size=4).map(
@@ -119,7 +115,6 @@ def test_addition_strictly_monotone_on_the_right(a, b, c):
 @given(ordinals, ordinals)
 def test_comparison_trichotomy(a, b):
     assert (a < b) + (a == b) + (b < a) == 1
-    assert compare(a, b) in (-1, 0, 1)
 
 
 @given(ordinals, ordinals)
@@ -139,31 +134,6 @@ def test_interval_type_examples():
         "w^2"
     )
     assert interval_type(parse_ordinal("w*2"), parse_ordinal("w*2+4")) == from_int(4)
-
-
-@given(ordinals, st.integers(0, 3))
-def test_trunc_tilde_reassembles(a, n):
-    high, lows = trunc_tilde(a, n)
-    assert len(lows) == n + 1
-    assert all(high.coefficient(i) == 0 for i in range(n + 1))
-    low = Ordinal(tuple(reversed(lows)))
-    assert add(high, low) == a
-
-
-@given(ordinals, st.integers(0, 3))
-def test_omega_shift_moves_every_exponent(a, m):
-    shifted = omega_shift(a, m)
-    assert all(
-        shifted.coefficient(i + m) == a.coefficient(i)
-        for i in range(a.degree + 1)
-    )
-    assert all(shifted.coefficient(i) == 0 for i in range(m))
-
-
-def test_iter_below_finite():
-    assert list(iter_below(from_int(3))) == [ZERO, ONE, from_int(2)]
-    with pytest.raises(OrdinalError):
-        list(iter_below(OMEGA))
 
 
 @given(ordinals)

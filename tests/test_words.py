@@ -56,6 +56,8 @@ def test_product_alphabet_blank_is_the_all_blank_tuple():
     assert p.arity == 2
     assert p.base == AB
     assert ("a", "_") in p.symbols
+    assert p.scalar is AB and p.tracks == 2
+    assert AB.scalar is AB and AB.tracks == 1
 
 
 def test_make_word_validates_positions_and_symbols():

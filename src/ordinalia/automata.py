@@ -3,8 +3,10 @@
 An automaton here reads words indexed by an ordinal.  Successor steps
 use an ordinary transition relation; at each limit position the run
 must jump to a state designated for the *set* of states visited
-cofinally below that position.  Machines are immutable and hashable so
-the run-analysis layer can memoize per machine.
+cofinally below that position.  Machines are immutable and compare by
+identity; each carries a private memo in which the run-analysis layer
+keeps what it has computed about that machine, so the results live
+exactly as long as the machine does.
 
 Track reindexing works on the transition tables directly; the
 semantic justification lives with the run-analysis code in
@@ -26,7 +28,7 @@ class AutomatonError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrdinalAutomaton:
     """States, alphabet, initial/final sets, successor and limit tables.
 
@@ -43,35 +45,14 @@ class OrdinalAutomaton:
     succ: Mapping
     limit: Mapping
 
-    # dict is unhashable; freeze both tables into sorted tuples once.
-    _succ_key: tuple = field(init=False, repr=False, compare=False)
+    # Filled and read only by ordinalia.semantics.
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         succ = {k: frozenset(v) for k, v in self.succ.items() if v}
         limit = {frozenset(k): frozenset(v) for k, v in self.limit.items() if v}
         object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "limit", limit)
-        key = (
-            tuple(sorted(((repr(q), repr(s)), tuple(sorted(map(repr, v))))
-                         for (q, s), v in succ.items())),
-            tuple(sorted((tuple(sorted(map(repr, k))), tuple(sorted(map(repr, v))))
-                         for k, v in limit.items())),
-        )
-        object.__setattr__(self, "_succ_key", key)
-
-    def __hash__(self) -> int:
-        return hash((self.states, self.alphabet, self.initial, self.final, self._succ_key))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrdinalAutomaton):
-            return NotImplemented
-        return (
-            self.states == other.states
-            and self.alphabet == other.alphabet
-            and self.initial == other.initial
-            and self.final == other.final
-            and self._succ_key == other._succ_key
-        )
 
     def step(self, q: State, sym: Symbol) -> frozenset:
         return self.succ.get((q, sym), frozenset())
@@ -81,43 +62,26 @@ class OrdinalAutomaton:
         return len(self.states)
 
 
-@dataclass
-class Diagnostics:
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate(aut: OrdinalAutomaton) -> Diagnostics:
-    diag = Diagnostics()
+def validate(aut: OrdinalAutomaton) -> list[str]:
+    """Everything that makes the machine ill-formed; empty when it is fine."""
+    errors: list[str] = []
     if not aut.initial <= aut.states:
-        diag.errors.append("initial states not a subset of states")
+        errors.append("initial states not a subset of states")
     if not aut.final <= aut.states:
-        diag.errors.append("final states not a subset of states")
+        errors.append("final states not a subset of states")
     for (q, s), targets in aut.succ.items():
         if q not in aut.states:
-            diag.errors.append(f"successor source {q!r} not a state")
+            errors.append(f"successor source {q!r} not a state")
         if s not in aut.alphabet.symbols:
-            diag.errors.append(f"successor symbol {s!r} not in alphabet")
+            errors.append(f"successor symbol {s!r} not in alphabet")
         if not targets <= aut.states:
-            diag.errors.append(f"successor targets of ({q!r}, {s!r}) not states")
+            errors.append(f"successor targets of ({q!r}, {s!r}) not states")
     for left, targets in aut.limit.items():
         if not left <= aut.states:
-            diag.errors.append(f"limit left set {sorted(map(repr, left))} not states")
-        if not left:
-            # An empty left set can never be the cofinal visit set of a
-            # run, so the transition is dead weight rather than wrong.
-            diag.warnings.append("limit transition with empty left set is unreachable")
+            errors.append(f"limit left set {sorted(map(repr, left))} not states")
         if not targets <= aut.states:
-            diag.errors.append("limit targets not a subset of states")
-    if not aut.initial:
-        diag.warnings.append("no initial states; language is empty")
-    if not aut.final:
-        diag.warnings.append("no final states; language is empty")
-    return diag
+            errors.append("limit targets not a subset of states")
+    return errors
 
 
 def make_automaton(
@@ -132,9 +96,9 @@ def make_automaton(
         frozenset(states), alphabet, frozenset(initial), frozenset(final),
         dict(succ), dict(limit),
     )
-    diag = validate(aut)
-    if not diag.ok:
-        raise AutomatonError("; ".join(diag.errors))
+    errors = validate(aut)
+    if errors:
+        raise AutomatonError("; ".join(errors))
     return aut
 
 

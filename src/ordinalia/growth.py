@@ -156,19 +156,17 @@ def nu_of_E(
     family: RelationFamily,
     E: Sequence[AlphaWord],
     universe: Iterable[AlphaWord],
-    free_family: Sequence[frozenset] | Callable | None = None,
+    free_family: Sequence[frozenset] | None = None,
     signature_fn: Callable | None = None,
-    transversal_cap: int = TRANSVERSAL_CAP,
 ) -> int:
     """Distinguishable-element count of E, optionally through a family.
 
     Without ``free_family`` this is the number of equivalence classes
     in the universe (every maximal free set is a class transversal).
-    With a family — a list of word sets, or a callable scoring a
-    candidate set directly — it is the *minimum* over all maximal free
-    sets G of the largest family member inside G, so the count cannot
-    be inflated by a lucky transversal.  ``signature_fn`` substitutes a
-    precomputed signature for the automaton-evaluated one.
+    With a family (a list of word sets) it is the *minimum* over all
+    maximal free sets G of the largest family member inside G, so the
+    count cannot be inflated by a lucky transversal.  ``signature_fn``
+    substitutes a precomputed signature for the automaton-evaluated one.
     """
     sig = signature_fn or (lambda w: signature(family, E, w))
     classes: dict = {}
@@ -178,17 +176,14 @@ def nu_of_E(
         return len(classes)
     groups = list(classes.values())
     total = math.prod(len(g) for g in groups)
-    if total > transversal_cap:
+    if total > TRANSVERSAL_CAP:
         raise ResourceLimitExceeded(
-            f"{total} class transversals exceed the cap {transversal_cap}"
+            f"{total} class transversals exceed the cap {TRANSVERSAL_CAP}"
         )
-    if callable(free_family):
-        score = free_family
-    else:
-        sets = [frozenset(fs) for fs in free_family]
+    sets = [frozenset(fs) for fs in free_family]
 
-        def score(G: frozenset) -> int:
-            return max((len(fs) for fs in sets if fs <= G), default=0)
+    def score(G: frozenset) -> int:
+        return max((len(fs) for fs in sets if fs <= G), default=0)
 
     return min(score(frozenset(combo)) for combo in itertools.product(*groups))
 
@@ -301,7 +296,6 @@ def shrink_gap(
     v: AlphaWord,
     gamma: Ordinal,
     n: int,
-    max_steps: int = SHRINK_MAX_STEPS,
 ) -> AlphaWord:
     """Cut a pumpable stretch out of the window [gamma, gamma + w^(n+1)).
 
@@ -335,7 +329,7 @@ def shrink_gap(
 
     seen: dict = {}
     cut = None
-    for j in range(max_steps + 1):
+    for j in range(SHRINK_MAX_STEPS + 1):
         prof = profile_at(j)
         if prof in seen:
             cut = (seen[prof], j)
@@ -343,7 +337,7 @@ def shrink_gap(
         seen[prof] = j
     if cut is None:
         raise ResourceLimitExceeded(
-            f"no repeated segment relation within {max_steps} steps"
+            f"no repeated segment relation within {SHRINK_MAX_STEPS} steps"
         )
     n1, n2 = cut
     c1 = gamma if n1 == 0 else add(gamma, omega_power(n, n1))

@@ -390,8 +390,9 @@ def find_witness(f: Formula, pres: Presentation):
 
     The sentence must be a block of existentials over a quantifier-free
     matrix.  Returned words follow the order the variables are bound
-    in; each witness is re-verified atom by atom, and checked to lie in
-    the domain, through direct membership before being handed back.
+    in; a bound variable the matrix never mentions gets any domain word.
+    Each witness is re-verified atom by atom, and checked to lie in the
+    domain, through direct membership before being handed back.
     """
     if free_variables(f):
         raise LogicError("find_witness needs a sentence")
@@ -417,11 +418,16 @@ def find_witness(f: Formula, pres: Presentation):
         assignment = {v: component(word, i) for i, v in enumerate(ambient)}
     if not _eval_quantifier_free(matrix, pres, assignment):
         raise LogicError("witness failed re-verification; compilation bug")
-    if not all(member(pres.domain, w) for w in assignment.values()):
-        raise LogicError("witness word outside the domain; compilation bug")
     missing = [v for v in prefix if v not in assignment]
     if missing:
-        raise LogicError(f"quantified variables never used: {missing}")
+        domain = _domain_product(pres, 1)
+        dw = gc.emptiness_witness(domain)
+        if dw is None:
+            return None
+        anything = gc.decode_gaps(dw, domain.alphabet)
+        assignment.update((v, anything) for v in missing)
+    if not all(member(pres.domain, w) for w in assignment.values()):
+        raise LogicError("witness word outside the domain; compilation bug")
     return tuple(assignment[v] for v in prefix)
 
 

@@ -12,6 +12,12 @@ Visited sets are what make levels composable; most callers only need
 the endpoint *relation*, and relations over finite state sets have
 eventually periodic power sequences, which is what makes reachability
 across arbitrary ordinal gaps a finite computation.
+
+Both sequences -- profile levels as k grows, relation powers as c
+grows -- are served by one lazily extended :class:`Periodic`.  The
+sequences for an automaton are kept in that automaton's private memo,
+so they are computed once per machine and freed with it; this module
+holds no mutable state of its own.
 """
 
 from __future__ import annotations
@@ -133,9 +139,9 @@ def _path_unions(triples: frozenset, target) -> set:
     return seen
 
 
-def _next_profile(aut: OrdinalAutomaton, prev: frozenset) -> frozenset:
+def _next_profile(limit: dict, prev: frozenset) -> frozenset:
     out: set = set()
-    for left, targets in aut.limit.items():
+    for left, targets in limit.items():
         anchors = _cycle_anchors(prev, left)
         for u in anchors:
             for q, acc in _path_unions(prev, u):
@@ -144,111 +150,123 @@ def _next_profile(aut: OrdinalAutomaton, prev: frozenset) -> frozenset:
     return frozenset(out)
 
 
-_PROFILE_CACHE: dict = {}
+# -- eventually periodic sequences ------------------------------------------
+
+
+class Periodic:
+    """The sequence x0, step(x0), step(step(x0)), ... of hashable terms.
+
+    Terms are computed only up to the highest index asked for.  At the
+    first repeat x_j == x_lam the shape (lam, pi = j - lam) is recorded,
+    after which term k >= lam is term lam + (k - lam) mod pi, so any
+    index costs no more than the first repeat.  Storing more than
+    ``limit`` distinct terms raises ResourceLimitExceeded.
+    """
+
+    def __init__(self, first, step, limit: int, what: str) -> None:
+        self._terms = [first]
+        self._index = {first: 0}
+        self._step = step
+        self._limit = limit
+        self._what = what
+        self._shape: tuple[int, int] | None = None
+
+    def __getitem__(self, k: int):
+        terms = self._terms
+        while k >= len(terms) and self._shape is None:
+            nxt = self._step(terms[-1])
+            seen = self._index.get(nxt)
+            if seen is not None:
+                self._shape = (seen, len(terms) - seen)
+                break
+            self._index[nxt] = len(terms)
+            terms.append(nxt)
+            if len(terms) > self._limit:
+                raise ResourceLimitExceeded(
+                    f"{self._what} exceeded {self._limit} without repeating"
+                )
+        if k < len(terms):
+            return terms[k]
+        lam, pi = self._shape
+        return terms[lam + (k - lam) % pi]
+
+    def shape(self) -> tuple[int, int]:
+        """(lam, pi) of the first repeat, extending the sequence to it."""
+        while self._shape is None:
+            self[len(self._terms)]
+        return self._shape
+
+    def position(self, x) -> int | None:
+        """Index of x among the terms computed so far, or None."""
+        return self._index.get(x)
+
+
+def _power_sequence(rel: Relation) -> Periodic:
+    """rel^1, rel^2, ...: term c - 1 is rel^c."""
+    return Periodic(rel, lambda x: compose(x, rel), MAX_POWER_STEPS, "relation powers")
 
 
 def profile(aut: OrdinalAutomaton, sym: Symbol, k: int) -> frozenset:
     """Profile triples of sigma^(w^k).
 
     Levels are computed incrementally per (automaton, symbol) and the
-    sequence of levels is detected to be eventually periodic, so large
-    k costs no more than the first repeat.
+    sequence of levels is eventually periodic, so large k costs no more
+    than the first repeat.
     """
     if k < 0:
         raise ValueError("profile level must be >= 0")
-    key = (aut, sym)
-    entry = _PROFILE_CACHE.get(key)
-    if entry is None:
-        entry = {"levels": [], "index": {}, "cycle": None}
-        _PROFILE_CACHE[key] = entry
-    levels: list = entry["levels"]
-    index: dict = entry["index"]
-    if k < len(levels):
-        return levels[k]
-    if entry["cycle"] is not None:
-        lam, pi = entry["cycle"]
-        return levels[lam + (k - lam) % pi]
-    while len(levels) <= k:
-        if not levels:
-            nxt = frozenset(
-                Profile(q, frozenset({q}), p)
-                for q in aut.states
-                for p in aut.step(q, sym)
-            )
-        else:
-            nxt = _next_profile(aut, levels[-1])
-        if nxt in index:
-            lam = index[nxt]
-            entry["cycle"] = (lam, len(levels) - lam)
-            break
-        index[nxt] = len(levels)
-        levels.append(nxt)
-        if len(levels) > MAX_PROFILE_LEVELS:
-            raise ResourceLimitExceeded(
-                f"profile levels exceeded {MAX_PROFILE_LEVELS} without repeating"
-            )
-    if k < len(levels):
-        return levels[k]
-    lam, pi = entry["cycle"]
-    return levels[lam + (k - lam) % pi]
+    levels = aut._memo.get(("profile", sym))
+    if levels is None:
+        first = frozenset(
+            Profile(q, frozenset({q}), p)
+            for q in aut.states
+            for p in aut.step(q, sym)
+        )
+        # The step holds the limit table, not the automaton: a memo entry
+        # that referred back to its automaton would keep it alive until a
+        # cycle collection.
+        limit = aut.limit
+        levels = Periodic(first, lambda prev: _next_profile(limit, prev),
+                          MAX_PROFILE_LEVELS, "profile levels")
+        aut._memo[("profile", sym)] = levels
+    return levels[k]
+
+
+def _powers(aut: OrdinalAutomaton, sym: Symbol, k: int) -> Periodic:
+    """Powers of the endpoint relation of sigma^(w^k), kept per automaton."""
+    powers = aut._memo.get(("powers", sym, k))
+    if powers is None:
+        rel = frozenset((t.start, t.end) for t in profile(aut, sym, k))
+        powers = _power_sequence(rel)
+        aut._memo[("powers", sym, k)] = powers
+    return powers
 
 
 def reach_power(aut: OrdinalAutomaton, sym: Symbol, k: int) -> Relation:
     """Endpoint relation of sigma^(w^k)."""
-    return frozenset((t.start, t.end) for t in profile(aut, sym, k))
-
-
-# -- finite powers of a relation -------------------------------------------
-
-_POWER_CACHE: dict = {}
-
-
-def _power_table(rel: Relation) -> tuple[list[Relation], int, int]:
-    """Powers rel^1, rel^2, ... up to the first repeat, plus the repeat
-    shape (lam, pi): rel^c = rel^(lam + (c - lam) mod pi) for c >= lam."""
-    cached = _POWER_CACHE.get(rel)
-    if cached is not None:
-        return cached
-    powers: list[Relation] = [rel]
-    index: dict = {rel: 1}
-    while True:
-        nxt = compose(powers[-1], rel)
-        exp = len(powers) + 1
-        if nxt in index:
-            lam = index[nxt]
-            pi = exp - lam
-            result = (powers, lam, pi)
-            _POWER_CACHE[rel] = result
-            return result
-        index[nxt] = exp
-        powers.append(nxt)
-        if exp > MAX_POWER_STEPS:
-            raise ResourceLimitExceeded(
-                f"relation powers exceeded {MAX_POWER_STEPS} without repeating"
-            )
+    return _powers(aut, sym, k)[0]
 
 
 def relation_power(rel: Relation, c: int) -> Relation:
+    """rel^c for c >= 1, computed afresh (nothing is kept)."""
     if c < 1:
         raise ValueError("relation_power needs c >= 1")
-    powers, lam, pi = _power_table(rel)
-    if c <= len(powers):
-        return powers[c - 1]
-    return powers[lam + (c - lam) % pi - 1]
+    return _power_sequence(rel)[c - 1]
 
 
 def power_cycle(aut: OrdinalAutomaton, sym: Symbol, k: int) -> tuple[int, int]:
-    """First-repeat shape (lam, pi) of the powers of reach_power(aut, sym, k).
+    """First-repeat shape (lam, pi) of the powers of reach_power(aut, sym, k):
+    rel^c = rel^(lam + (c - lam) mod pi) for c >= lam.
 
     Exponent 0 (the identity) participates: a relation whose powers
     return to the identity is purely periodic and reports lam = 0.
     """
-    powers, lam, pi = _power_table(reach_power(aut, sym, k))
-    ident = identity_relation(aut.states)
-    for c, rel in enumerate(powers, start=1):
-        if rel == ident:
-            return 0, c
-    return lam, pi
+    powers = _powers(aut, sym, k)
+    lam, pi = powers.shape()
+    at = powers.position(identity_relation(aut.states))
+    if at is not None:
+        return 0, at + 1
+    return lam + 1, pi
 
 
 # -- reachability across ordinal-length constant stretches ------------------
@@ -265,7 +283,7 @@ def const_reach(aut: OrdinalAutomaton, sym: Symbol, gap: Ordinal) -> Relation:
         c = gap.coefficient(k)
         if c == 0:
             continue
-        rel = compose(rel, relation_power(reach_power(aut, sym, k), c))
+        rel = compose(rel, _powers(aut, sym, k)[c - 1])
     return rel
 
 
@@ -315,7 +333,3 @@ def saturation_holds(aut: OrdinalAutomaton, sym: Symbol, m: int, c) -> bool:
         other = const_reach(aut, sym, omega_power(m, c))
     return base == other
 
-
-def clear_caches() -> None:
-    _PROFILE_CACHE.clear()
-    _POWER_CACHE.clear()

@@ -122,6 +122,16 @@ def test_witness_prints_an_assignment(pres_path, tmp_path, capsys):
     assert set(report["witness"]) == {"x", "y"}
 
 
+@pytest.mark.parametrize("sentence", [
+    "(exists x (exists y (Plus y y y)))",
+    "(exists y (exists x (Plus y y y)))",
+])
+def test_witness_vacuous_existential(pres_path, sentence, capsys):
+    assert main(["witness", "-p", pres_path, "-f", sentence]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert sorted(line.split(" = ")[0] for line in lines) == ["x", "y"]
+
+
 def test_witness_missing_is_exit_one(pres_path, capsys):
     code = main([
         "witness", "-p", pres_path,

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from ordinalia import growth
 from ordinalia.automata import equality_automaton
 from ordinalia.semantics import ResourceLimitExceeded
 from ordinalia.examples import (
@@ -219,26 +220,12 @@ def test_nu_transversal_minimum_with_custom_free_family():
     assert nu_of_E(fam, E, words, free_family=fsets) == 1
 
 
-def test_nu_accepts_a_callable_free_family_hook():
+def test_nu_respects_the_transversal_cap(monkeypatch):
     fam = one_state_family()
     words = list(tn_words(1))
-    E = [words[0]]
-    seen = []
-
-    def score(transversal):
-        seen.append(transversal)
-        return len(transversal)
-
-    assert nu_of_E(fam, E, words, free_family=score) == 2
-    assert len(seen) == 7  # one call per class transversal
-    assert all(words[0] in g for g in seen)
-
-
-def test_nu_respects_the_transversal_cap():
-    fam = one_state_family()
-    words = list(tn_words(1))
+    monkeypatch.setattr(growth, "TRANSVERSAL_CAP", 1)
     with pytest.raises(ResourceLimitExceeded):
-        nu_of_E(fam, [words[0]], words, free_family=[], transversal_cap=1)
+        nu_of_E(fam, [words[0]], words, free_family=[])
 
 
 # ------------------------------------------------------------ surgery

@@ -159,6 +159,19 @@ def test_witness_words_live_in_the_domain(pres):
     assert encode_natural(decode_natural(w)) == w
 
 
+@pytest.mark.parametrize("text, y_at", [
+    ("(exists x (exists y (Plus y y y)))", 1),
+    ("(exists y (exists x (Plus y y y)))", 0),
+])
+def test_witness_for_a_vacuous_existential(pres, text, y_at):
+    """x is never used, so any domain word witnesses it."""
+    words = find_witness(parse_formula(text, SIG), pres)
+    assert words is not None and len(words) == 2
+    for w in words:
+        assert encode_natural(decode_natural(w)) == w
+    assert decode_natural(words[y_at]) == 0
+
+
 def test_witness_outside_the_domain_is_rejected(pres, monkeypatch):
     from ordinalia import logic
     from ordinalia.gapcode import encode_gaps

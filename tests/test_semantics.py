@@ -1,12 +1,14 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
 from ordinalia.automata import make_automaton
 from ordinalia.ordinals import OMEGA, ZERO, from_int, omega_power, parse_ordinal
 from ordinalia.semantics import (
+    Periodic,
     ResourceLimitExceeded,
-    clear_caches,
     compose,
     const_reach,
     identity_relation,
@@ -174,6 +176,64 @@ def test_membership_beyond_omega_squared(rng):
     assert not member(aut, blank_word(parse_ordinal("w^3"), AB))
 
 
-def test_clear_caches_is_idempotent():
-    clear_caches()
-    clear_caches()
+def power_shape_oracle(states, rel):
+    """(lam, pi) of rel^0, rel^1, ... at the first repeat, and those powers.
+
+    Plain set comprehension, sharing no code with the library.
+    """
+    powers = [frozenset((q, q) for q in states)]
+    while True:
+        nxt = frozenset((a, c) for a, b in powers[-1] for b2, c in rel if b == b2)
+        if nxt in powers:
+            lam = powers.index(nxt)
+            return lam, len(powers) - lam, powers
+        powers.append(nxt)
+
+
+def test_power_cycle_matches_the_oracle(rng):
+    for _ in range(40):
+        aut = random_automaton(rng, max_states=4)
+        for k in (0, 1, 2):
+            lam, pi, _ = power_shape_oracle(aut.states, reach_power(aut, "_", k))
+            assert power_cycle(aut, "_", k) == (lam, pi)
+
+
+def test_const_reach_of_a_huge_coefficient_matches_the_oracle(rng):
+    c = 10**12
+    for _ in range(40):
+        aut = random_automaton(rng, max_states=4)
+        lam, pi, powers = power_shape_oracle(aut.states, reach_power(aut, "_", 1))
+        expect = powers[lam + (c - lam) % pi]
+        assert const_reach(aut, "_", omega_power(1, c)) == expect
+
+
+def test_periodic_extends_lazily_and_wraps_at_the_first_repeat():
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return (x + 1) % 5 if x < 4 else 2  # 0 1 2 3 4 2 3 4 ...
+
+    seq = Periodic(0, step, 10, "test terms")
+    assert seq[3] == 3 and len(calls) == 3
+    assert seq.shape() == (2, 3)
+    assert [seq[k] for k in range(9)] == [0, 1, 2, 3, 4, 2, 3, 4, 2]
+    assert seq[10**9] == 2 + (10**9 - 2) % 3
+    assert seq.position(4) == 4 and seq.position(7) is None
+
+
+def test_periodic_raises_past_its_limit():
+    seq = Periodic(0, lambda x: x + 1, 5, "test terms")
+    assert seq[4] == 4  # five distinct terms fit
+    with pytest.raises(ResourceLimitExceeded, match="test terms exceeded 5"):
+        seq[5]
+
+
+def test_analysed_automaton_is_freed_once_dropped(rng):
+    aut = random_automaton(rng, max_states=4)
+    w = make_word(parse_ordinal("w^2*2+3"), [(parse_ordinal("w+1"), "a")], AB)
+    member(aut, w)
+    ref = weakref.ref(aut)
+    del aut
+    gc.collect()
+    assert ref() is None

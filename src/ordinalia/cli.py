@@ -1,17 +1,26 @@
 """Command-line front end.
 
-Every subcommand prints a human-readable summary to stdout and can
-additionally write a JSON report with ``--json-out``.  Reports are
-deterministic — sorted keys, no timestamps — so byte-identical runs
-are byte-identical files.  Exit codes: 0 success, 1 the queried
-property is false (rejected word, false sentence, missing witness,
-failed saturation), 2 bad usage or malformed input, 3 a resource
-limit was hit.
+Every subcommand but ``examples`` is a report command: it prints a
+human-readable summary to stdout and returns its exit code with the
+fields of its report.  :func:`main` alone adds ``schema`` and
+``command`` and writes the report to the ``--json-out`` file.  Reports
+are deterministic — sorted keys, no timestamps — so byte-identical
+runs are byte-identical files.  ``examples NAME --json-out FILE``
+writes the example itself.
+
+Exit codes: 0 success, 1 the queried property is false (rejected
+word, false sentence, missing witness, failed saturation), 2 bad usage
+or malformed input, 3 a resource limit was hit.  On 2 or 3 the message
+goes to stderr after ``error:`` or ``resource limit:`` and the report
+is ``{"error": {"exit", "type", "message"}}``, ``type`` naming the
+exception class.  Argument-parsing failures (no subcommand, a missing
+required flag) exit 2 before the options exist and write no report.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -30,56 +39,41 @@ from .logic import (
 )
 from .ordinals import OrdinalError, format_ordinal, parse_ordinal
 from .semantics import ResourceLimitExceeded, member, saturation_holds
-from .words import WordError, format_word, parse_word, support
+from .words import WordError, format_word, parse_word
 
 SCHEMA = "ordinalia.report/1"
 
-USAGE_ERRORS = (
-    OrdinalError,
-    WordError,
-    AutomatonError,
-    GapError,
-    LogicError,
-    GrowthError,
-    OSError,
-    json.JSONDecodeError,
-)
+
+class UsageError(ValueError):
+    """A command-line request that names nothing the program knows."""
 
 
-def _emit(report: dict, json_out: str | None) -> None:
-    if json_out:
-        payload = json.dumps(report, sort_keys=True, indent=2, default=str)
-        with open(json_out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+USAGE_ERRORS = (UsageError, OrdinalError, WordError, AutomatonError, GapError,
+                LogicError, GrowthError, OSError, json.JSONDecodeError)
 
 
-def _cmd_member(args) -> int:
+def _write_json(data, path: str) -> None:
+    payload = json.dumps(data, sort_keys=True, indent=2, default=str)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(payload + "\n")
+
+
+def _cmd_member(args) -> tuple[int, dict]:
     aut = load_automaton(args.automaton)
     w = parse_word(args.word, aut.alphabet)
     ok = member(aut, w)
     print("accepted" if ok else "rejected")
-    _emit(
-        {"schema": SCHEMA, "command": "member", "word": format_word(w),
-         "accepted": ok},
-        args.json_out,
-    )
-    return 0 if ok else 1
+    return (0 if ok else 1), {"word": format_word(w), "accepted": ok}
 
 
-def _cmd_decide(args) -> int:
+def _cmd_decide(args) -> tuple[int, dict]:
     pres = load_presentation(args.presentation)
-    f = parse_formula(args.formula, pres.signature)
-    value = decide(f, pres)
+    value = decide(parse_formula(args.formula, pres.signature), pres)
     print("true" if value else "false")
-    _emit(
-        {"schema": SCHEMA, "command": "decide", "formula": args.formula,
-         "value": value},
-        args.json_out,
-    )
-    return 0 if value else 1
+    return (0 if value else 1), {"formula": args.formula, "value": value}
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[int, dict]:
     pres = load_presentation(args.presentation)
     f = parse_formula(args.formula, pres.signature)
     names = []
@@ -90,40 +84,26 @@ def _cmd_witness(args) -> int:
     words = find_witness(f, pres)
     if words is None:
         print("no witness")
-        _emit(
-            {"schema": SCHEMA, "command": "witness", "formula": args.formula,
-             "witness": None},
-            args.json_out,
-        )
-        return 1
+        return 1, {"formula": args.formula, "witness": None}
     assignment = {name: format_word(w) for name, w in zip(names, words)}
     for name in names:
         print(f"{name} = {assignment[name]}")
-    _emit(
-        {"schema": SCHEMA, "command": "witness", "formula": args.formula,
-         "witness": assignment},
-        args.json_out,
-    )
-    return 0
+    return 0, {"formula": args.formula, "witness": assignment}
 
 
-def _cmd_umset(args) -> int:
+def _cmd_umset(args) -> tuple[int, dict]:
     anchors = [parse_ordinal(part) for part in args.anchors.split(",") if part]
     bound = parse_ordinal(args.bound)
     out = sorted(u_iter_set(anchors, args.radius, args.rounds, bound))
-    for o in out:
-        print(format_ordinal(o))
+    members = [format_ordinal(o) for o in out]
+    for text in members:
+        print(text)
     print(f"{len(out)} ordinals")
-    _emit(
-        {"schema": SCHEMA, "command": "umset", "radius": args.radius,
-         "rounds": args.rounds, "bound": args.bound,
-         "members": [format_ordinal(o) for o in out]},
-        args.json_out,
-    )
-    return 0
+    return 0, {"radius": args.radius, "rounds": args.rounds, "bound": args.bound,
+               "members": members}
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> tuple[int, dict]:
     auts = [load_automaton(path) for path in args.automaton]
     base = auts[0].alphabet.scalar
     v = parse_word(args.word, base)
@@ -133,20 +113,19 @@ def _cmd_normalize(args) -> int:
     print(format_word(result.word))
     for step in result.steps:
         print(f"  {step}")
-    _emit(
-        {"schema": SCHEMA, "command": "normalize", "input": format_word(v),
-         "output": format_word(result.word), "steps": list(result.steps),
-         "radius": args.radius if args.radius is not None else k_const(family)},
-        args.json_out,
-    )
-    return 0
+    return 0, {
+        "input": format_word(v), "output": format_word(result.word),
+        "steps": list(result.steps),
+        "radius": args.radius if args.radius is not None else k_const(family),
+    }
 
 
-def _cmd_growth(args) -> int:
-    rng = random.Random(args.seed) if args.seed is not None else None
-    probe = ex.growth_bound_probe(max_stage=args.stages, rng=rng)
+def _cmd_growth(args) -> tuple[int, dict]:
+    # the two cheap budget checks run before the slow triangular probe
     rado = ex.rado_growth_demo(args.rado)
     squaring = ex.squaring_experiment(args.squaring)
+    rng = random.Random(args.seed) if args.seed is not None else None
+    probe = ex.growth_bound_probe(max_stage=args.stages, rng=rng)
     print("triangular family: stage, parameters, count, ratio")
     for row in probe:
         print(f"  {row.stage}  {row.parameter_count}  {row.nu}  {row.ratio}")
@@ -156,107 +135,60 @@ def _cmd_growth(args) -> int:
     print("affine maps over carry-less polynomials: support, slope, distinct")
     for row in squaring:
         print(f"  {row.support}  {row.slope}  {row.distinct}")
-    _emit(
-        {
-            "schema": SCHEMA,
-            "command": "growth",
-            "probe": [
-                {"stage": r.stage, "parameters": r.parameter_count,
-                 "count": r.nu, "ratio": str(r.ratio)}
-                for r in probe
-            ],
-            "rado": [{"n": r.n, "count": r.nu} for r in rado],
-            "squaring": [
-                {"support": r.support, "slope": r.slope,
-                 "pairs": r.pair_count, "distinct": r.distinct}
-                for r in squaring
-            ],
-        },
-        args.json_out,
-    )
-    return 0
-
-
-def _cmd_saturate(args) -> int:
-    aut = load_automaton(args.automaton)
-    level = args.exponent if args.exponent is not None else len(aut.states)
-    factors: list = [2, 3, 5, "omega"]
-    checks = []
-    all_hold = True
-    for sym in sorted(aut.alphabet.symbols, key=repr):
-        for c in factors:
-            holds = saturation_holds(aut, sym, level, c)
-            all_hold &= holds
-            checks.append((sym, c, holds))
-            mark = "ok" if holds else "VIOLATED"
-            print(f"{sym!r} x{c}: {mark}")
-    _emit(
-        {"schema": SCHEMA, "command": "saturate", "exponent": level,
-         "checks": [
-             {"symbol": str(s), "factor": str(c), "holds": h}
-             for s, c, h in checks
-         ]},
-        args.json_out,
-    )
-    return 0 if all_hold else 1
-
-
-def _example_registry() -> dict:
-    return {
-        "presburger": (
-            "naturals with addition, base-2 least-significant-first",
-            lambda: presentation_to_dict(ex.presburger_presentation()),
-        ),
-        "wellorder": (
-            "order on words: largest differing position decides",
-            lambda: automaton_to_dict(ex.wellorder_automaton(ex.AB)),
-        ),
-        "subsupp": (
-            "support of the first track inside support of the second",
-            lambda: automaton_to_dict(ex.subsupp_automaton(ex.AB)),
-        ),
-        "triangle0": (
-            "words supported exactly on the triangular position set, stage 0",
-            lambda: automaton_to_dict(ex.tn_automaton(0)),
-        ),
-        "triangle1": (
-            "words supported exactly on the triangular position set, stage 1",
-            lambda: automaton_to_dict(ex.tn_automaton(1)),
-        ),
-        "triangle2": (
-            "words supported exactly on the triangular position set, stage 2",
-            lambda: automaton_to_dict(ex.tn_automaton(2)),
-        ),
-        "gen-a": (
-            "graph of the stage generator that starts blocks with a",
-            lambda: automaton_to_dict(ex.f_automaton("a")),
-        ),
-        "gen-b": (
-            "graph of the stage generator that starts blocks with b",
-            lambda: automaton_to_dict(ex.f_automaton("b")),
-        ),
+    return 0, {
+        "probe": [{"stage": r.stage, "parameters": r.parameter_count,
+                   "count": r.nu, "ratio": str(r.ratio)} for r in probe],
+        "rado": [{"n": r.n, "count": r.nu} for r in rado],
+        "squaring": [{"support": r.support, "slope": r.slope,
+                      "pairs": r.pair_count, "distinct": r.distinct}
+                     for r in squaring],
     }
 
 
-def _cmd_examples(args) -> int:
-    registry = _example_registry()
+def _cmd_saturate(args) -> tuple[int, dict]:
+    aut = load_automaton(args.automaton)
+    level = args.exponent if args.exponent is not None else len(aut.states)
+    checks = []
+    for sym in sorted(aut.alphabet.symbols, key=repr):
+        for c in (2, 3, 5, "omega"):
+            holds = saturation_holds(aut, sym, level, c)
+            checks.append({"symbol": str(sym), "factor": str(c), "holds": holds})
+            print(f"{sym!r} x{c}: {'ok' if holds else 'VIOLATED'}")
+    all_hold = all(check["holds"] for check in checks)
+    return (0 if all_hold else 1), {"exponent": level, "checks": checks}
+
+
+# name -> (blurb, builder of the JSON-ready example)
+EXAMPLES = {
+    "presburger": ("naturals with addition, base-2 least-significant-first",
+                   lambda: presentation_to_dict(ex.presburger_presentation())),
+    "wellorder": ("order on words: largest differing position decides",
+                  lambda: automaton_to_dict(ex.wellorder_automaton(ex.AB))),
+    "subsupp": ("support of the first track inside support of the second",
+                lambda: automaton_to_dict(ex.subsupp_automaton(ex.AB))),
+    **{f"triangle{n}": (
+        f"words supported exactly on the triangular position set, stage {n}",
+        lambda n=n: automaton_to_dict(ex.tn_automaton(n))) for n in range(3)},
+    **{f"gen-{t}": (
+        f"graph of the stage generator that starts blocks with {t}",
+        lambda t=t: automaton_to_dict(ex.f_automaton(t))) for t in "ab"},
+}
+
+
+def _cmd_examples(args) -> tuple[int, None]:
     if args.name is None:
-        for name, (blurb, _) in sorted(registry.items()):
+        for name, (blurb, _) in sorted(EXAMPLES.items()):
             print(f"{name}: {blurb}")
-        return 0
-    if args.name not in registry:
-        print(f"error: unknown example {args.name!r}", file=sys.stderr)
-        return 2
-    blurb, build = registry[args.name]
-    data = build()
-    payload = json.dumps(data, sort_keys=True, indent=2)
+        return 0, None
+    if args.name not in EXAMPLES:
+        raise UsageError(f"unknown example {args.name!r}")
+    data = EXAMPLES[args.name][1]()
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write_json(data, args.json_out)
         print(f"wrote {args.name} to {args.json_out}")
     else:
-        print(payload)
-    return 0
+        print(json.dumps(data, sort_keys=True, indent=2))
+    return 0, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,30 +198,30 @@ def build_parser() -> argparse.ArgumentParser:
         "first-order decisions, support normalization, growth probes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json-out", help="write a JSON report here")
 
-    p = sub.add_parser("member", help="run an automaton on a word")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[report])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("member", _cmd_member, "run an automaton on a word")
     p.add_argument("-a", "--automaton", required=True, help="automaton JSON file")
     p.add_argument("-w", "--word", required=True, help="word literal")
-    p.add_argument("--json-out", help="write a JSON report here")
-    p.set_defaults(func=_cmd_member)
 
-    p = sub.add_parser("decide", help="decide a sentence over a presentation")
+    p = command("decide", _cmd_decide, "decide a sentence over a presentation")
     p.add_argument("-p", "--presentation", required=True,
                    help="presentation JSON file")
     p.add_argument("-f", "--formula", required=True, help="sentence, s-expression")
-    p.add_argument("--json-out", help="write a JSON report here")
-    p.set_defaults(func=_cmd_decide)
 
-    p = sub.add_parser("witness", help="extract witnesses for an existential")
+    p = command("witness", _cmd_witness, "extract witnesses for an existential")
     p.add_argument("-p", "--presentation", required=True,
                    help="presentation JSON file")
     p.add_argument("-f", "--formula", required=True,
                    help="existential sentence, s-expression")
-    p.add_argument("--json-out", help="write a JSON report here")
-    p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("umset",
-                       help="enumerate an ordinal neighborhood of anchors")
+    p = command("umset", _cmd_umset, "enumerate an ordinal neighborhood of anchors")
     p.add_argument("-X", "--anchors", required=True,
                    help="comma-separated ordinal literals")
     p.add_argument("-m", "--radius", required=True, type=int,
@@ -298,11 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exclusive ordinal bound")
     p.add_argument("--rounds", type=int, default=1,
                    help="iterate the neighborhood operator (default 1)")
-    p.add_argument("--json-out", help="write a JSON report here")
-    p.set_defaults(func=_cmd_umset)
 
-    p = sub.add_parser("normalize",
-                       help="move a word's support next to the parameters")
+    p = command("normalize", _cmd_normalize,
+                "move a word's support next to the parameters")
     p.add_argument("-a", "--automaton", required=True, action="append",
                    help="automaton JSON file (repeatable; track 0 is the element)")
     p.add_argument("-w", "--word", required=True, help="word literal to normalize")
@@ -310,10 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parameter word literal (repeatable)")
     p.add_argument("-m", "--radius", type=int, default=None,
                    help="exploratory radius instead of the true constant")
-    p.add_argument("--json-out", help="write a JSON report here")
-    p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("growth", help="run the growth-rate probes")
+    p = command("growth", _cmd_growth, "run the growth-rate probes")
     p.add_argument("--stages", type=int, default=1,
                    help="last triangular stage to evaluate (default 1)")
     p.add_argument("--rado", type=int, default=4,
@@ -322,16 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest polynomial support (default 3)")
     p.add_argument("--seed", type=int, default=None,
                    help="seed automaton cross-checks of the last stage")
-    p.add_argument("--json-out", help="write a JSON report here")
-    p.set_defaults(func=_cmd_growth)
 
-    p = sub.add_parser("saturate",
-                       help="check limit-power saturation of an automaton")
+    p = command("saturate", _cmd_saturate,
+                "check limit-power saturation of an automaton")
     p.add_argument("-a", "--automaton", required=True, help="automaton JSON file")
     p.add_argument("-m", "--exponent", type=int, default=None,
                    help="tower exponent (default: number of states)")
-    p.add_argument("--json-out", help="write a JSON report here")
-    p.set_defaults(func=_cmd_saturate)
 
     p = sub.add_parser("examples", help="bundled automata and presentations")
     p.add_argument("name", nargs="?", help="which example to print")
@@ -341,17 +265,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(args, fields: dict) -> None:
+    if args.json_out:
+        _write_json({"schema": SCHEMA, "command": args.command, **fields},
+                    args.json_out)
+
+
+def _fail(args, code: int, label: str, exc: Exception) -> int:
+    print(f"{label}: {exc}", file=sys.stderr)
+    error = {"exit": code, "type": type(exc).__name__, "message": str(exc)}
+    with contextlib.suppress(OSError):  # the failure may be the report file
+        _report(args, {"error": error})
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, fields = args.func(args)
+        if fields is not None:
+            _report(args, fields)
+        return code
     except ResourceLimitExceeded as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return 3
+        return _fail(args, 3, "resource limit", exc)
     except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, 2, "error", exc)
 
 
 if __name__ == "__main__":

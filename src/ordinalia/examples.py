@@ -35,7 +35,14 @@ from .automata import OrdinalAutomaton, make_automaton, reindex
 from .growth import GrowthError, RelationFamily, nu_of_E
 from .logic import Presentation
 from .ordinals import ONE, OMEGA, ZERO, Ordinal, add, interval_type, omega_power
-from .semantics import compose, identity_relation, const_reach, reach_power, member
+from .semantics import (
+    ResourceLimitExceeded,
+    compose,
+    identity_relation,
+    const_reach,
+    reach_power,
+    member,
+)
 from .words import (
     Alphabet,
     AlphaWord,
@@ -427,6 +434,15 @@ def rado_edge(i: int, j: int) -> bool:
     return lo != hi and bool((hi >> lo) & 1)
 
 
+# Budgets of the two closed-form probes: the bit-graph probe scans
+# 2^(n+1) naturals per n and the squaring probe tries about 8^s products
+# per support s.  At the caps each takes a few seconds on one core of a
+# shared 2-CPU Linux host; one step further doubles the first and
+# multiplies the second by about ten.
+RADO_MAX_N = 16
+SQUARING_MAX_SUPPORT = 7
+
+
 @dataclass(frozen=True)
 class RadoRow:
     n: int
@@ -440,6 +456,10 @@ def rado_growth_demo(max_n: int = 4):
     so the count is exact, and it exceeds n*k for every fixed k once n
     is large enough — the growth no automaton-presented family attains.
     """
+    if max_n > RADO_MAX_N:
+        raise ResourceLimitExceeded(
+            f"bit-graph probe needs n <= RADO_MAX_N = {RADO_MAX_N}, got {max_n}"
+        )
     rows = []
     for n in range(max_n + 1):
         sigs = {
@@ -479,6 +499,11 @@ def squaring_experiment(max_support: int = 3):
     distinguishable values, which is the shape of argument that rules
     out automaton presentations of rings with such definable maps.
     """
+    if max_support > SQUARING_MAX_SUPPORT:
+        raise ResourceLimitExceeded(
+            f"squaring probe needs support <= SQUARING_MAX_SUPPORT = "
+            f"{SQUARING_MAX_SUPPORT}, got {max_support}"
+        )
     rows = []
     for s in range(1, max_support + 1):
         subs = list(range(1 << s))

@@ -375,6 +375,9 @@ def normalize(
     within the radius would certify the point as unoffending, so this
     is the common case), a stretch is cut out of the window; otherwise
     the offending stretch is transplanted flush against the anchors.
+    Transplants happen under the true constant too: a one-state family
+    has constant 3, so ``w^4*8+w^3*4`` in a word of length ``w^5``
+    takes ten window cuts and then a transplant around ``w^4+w^3``.
     A user-supplied small ``m`` tightens the neighborhood far below
     what the pigeonhole justifies, so transplants become frequent and
     may fail.  Every step re-verifies equivalence exactly — exploration

@@ -216,6 +216,16 @@ def test_growth_probe_output_and_determinism(tmp_path, capsys):
     assert [r["count"] for r in report["rado"]] == [1, 2, 4]
 
 
+@pytest.mark.parametrize("flag, budget", [
+    ("--rado", "RADO_MAX_N"),
+    ("--squaring", "SQUARING_MAX_SUPPORT"),
+])
+def test_growth_probe_over_its_budget_is_exit_three(flag, budget, capsys):
+    assert main(["growth", "--stages", "0", flag, "40"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit:") and budget in err
+
+
 # ---------------------------------------------------------------- saturate
 
 
@@ -257,6 +267,34 @@ def test_examples_round_trip_through_member(tmp_path, capsys):
     capsys.readouterr()
     assert main(["member", "-a", str(path), "-w", "len=3; {0:a|a, 1:b|b}"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- error reports
+
+
+@pytest.mark.parametrize("argv, code, kind, message", [
+    pytest.param(
+        ["member", "-a", "/no/such/file.json", "-w", "len=1; {}"], 2,
+        "FileNotFoundError", "[Errno 2] No such file or directory: '/no/such/file.json'",
+        id="missing-file"),
+    pytest.param(
+        ["umset", "-X", "w+1", "-m", "9", "-d", "w^2"], 3,
+        "ResourceLimitExceeded", "neighborhood enumeration needs m <= 8, got 9",
+        id="enumeration-cap"),
+    pytest.param(
+        ["examples", "nosuch"], 2, "UsageError", "unknown example 'nosuch'",
+        id="unknown-example"),
+])
+def test_error_exits_write_an_error_report(argv, code, kind, message, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--json-out", str(out)]) == code
+    label = "resource limit" if code == 3 else "error"
+    assert capsys.readouterr().err == f"{label}: {message}\n"
+    assert json.loads(out.read_text()) == {
+        "schema": "ordinalia.report/1",
+        "command": argv[0],
+        "error": {"exit": code, "type": kind, "message": message},
+    }
 
 
 # ---------------------------------------------------------------- usage

@@ -299,14 +299,16 @@ def test_normalize_exploratory_radius_must_be_at_least_three():
         normalize(fam, [], v, m=2)
 
 
-def test_normalize_transplant_route_on_high_exponents():
-    # an exploratory radius far below the word's degree eventually
-    # leaves an offender whose coefficients are all too small to pump,
-    # which forces the transplant branch
+@pytest.mark.parametrize("m", [3, None])
+def test_normalize_transplant_route_on_high_exponents(m):
+    # a radius far below the word's degree eventually leaves an offender
+    # whose coefficients are all too small to pump, which forces the
+    # transplant branch; a one-state family's own constant is already 3
     alpha = parse_ordinal("w^5")
     fam = one_state_family(alpha=alpha)
+    assert k_const(fam) == 3
     v = make_word(alpha, [(parse_ordinal("w^4*8+w^3*4"), "a")], AB)
-    res = normalize(fam, [], v, m=3, max_steps=64)
+    res = normalize(fam, [], v, m=m, max_steps=64)
     assert any("transplant" in s for s in res.steps)
     assert res.word.length == alpha
     for p in support(res.word):

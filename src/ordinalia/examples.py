@@ -27,12 +27,13 @@ Four groups of building blocks live here.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .automata import OrdinalAutomaton, make_automaton, reindex
-from .growth import GrowthError, RelationFamily, nu_of_E
+from .growth import GrowthError, RelationFamily, signature
 from .logic import Presentation
 from .ordinals import ONE, OMEGA, ZERO, Ordinal, add, interval_type, omega_power
 from .semantics import (
@@ -382,6 +383,27 @@ class ProbeRow:
         return Fraction(self.nu, self.parameter_count)
 
 
+def transversal_minimum(universe, sig, free_family: Sequence[frozenset]) -> int:
+    """Minimum over the maximal free sets G (the transversals of the
+    classes of equal ``sig``) of the largest ``free_family`` member inside
+    G, so the count cannot be inflated by a lucky transversal."""
+    classes: dict = {}
+    for w in universe:
+        classes.setdefault(sig(w), []).append(w)
+    groups = list(classes.values())
+    total = math.prod(len(g) for g in groups)
+    if total > TRANSVERSAL_CAP:
+        raise ResourceLimitExceeded(
+            f"{total} class transversals exceed TRANSVERSAL_CAP = {TRANSVERSAL_CAP}"
+        )
+    sets = [frozenset(fs) for fs in free_family]
+
+    def score(G: frozenset) -> int:
+        return max((len(fs) for fs in sets if fs <= G), default=0)
+
+    return min(score(frozenset(combo)) for combo in itertools.product(*groups))
+
+
 def growth_bound_probe(max_stage: int = 2, rng=None):
     """Distinguishability of the triangular family, stage by stage.
 
@@ -392,6 +414,10 @@ def growth_bound_probe(max_stage: int = 2, rng=None):
     generators forward, cross-checked against the automata on 40
     random triples when an rng is supplied.
     """
+    if max_stage > STAGES_MAX:
+        raise ResourceLimitExceeded(
+            f"growth probe needs stages <= STAGES_MAX = {STAGES_MAX}, got {max_stage}"
+        )
     family = RelationFamily(tuple(generator_relations()), W2)
     tags = ("a", "b")
     rows: list[ProbeRow] = []
@@ -400,7 +426,7 @@ def growth_bound_probe(max_stage: int = 2, rng=None):
         universe = list(tn_words(n + 1)) + [blank_word(W2, AB)]
         fsets = [frozenset(tn_words(n)), frozenset(tn_words(n + 1))]
         if n <= 1:
-            nu = nu_of_E(family, E, universe, free_family=fsets)
+            nu = transversal_minimum(universe, lambda u: signature(family, E, u), fsets)
         else:
             produced: dict = {}
             for t, tag in enumerate(tags):
@@ -408,9 +434,9 @@ def growth_bound_probe(max_stage: int = 2, rng=None):
                     for vi, ve in enumerate(E):
                         u = f_apply(tag, w, ve)
                         produced.setdefault(u, set()).add((t, wi, vi))
-            sig_fn = lambda u: frozenset(produced.get(u, ()))
-            nu = nu_of_E(family, E, universe, free_family=fsets,
-                         signature_fn=sig_fn)
+            nu = transversal_minimum(
+                universe, lambda u: frozenset(produced.get(u, ())), fsets
+            )
             if rng is not None:
                 for _ in range(40):
                     tag = rng.choice(tags)
@@ -434,13 +460,16 @@ def rado_edge(i: int, j: int) -> bool:
     return lo != hi and bool((hi >> lo) & 1)
 
 
-# Budgets of the two closed-form probes: the bit-graph probe scans
-# 2^(n+1) naturals per n and the squaring probe tries about 8^s products
-# per support s.  At the caps each takes a few seconds on one core of a
-# shared 2-CPU Linux host; one step further doubles the first and
-# multiplies the second by about ten.
+# Budgets of the growth probes.  On one core of a shared 2-CPU Linux
+# host the triangular probe takes 3 s through stage 2 and over 40 s
+# through stage 3; the bit-graph probe (2^(n+1) naturals per n) and the
+# squaring probe (about 8^s products per support s) take a few seconds
+# at their caps, and one step further doubles the first and multiplies
+# the second by about ten.
+STAGES_MAX = 2
 RADO_MAX_N = 16
 SQUARING_MAX_SUPPORT = 7
+TRANSVERSAL_CAP = 4096
 
 
 @dataclass(frozen=True)

@@ -203,13 +203,22 @@ def cap_policy(working: Iterable[OrdinalAutomaton], alpha: Ordinal) -> CapPolicy
 #
 # Abstract symbols are ("gap", class-tuple) or ("let", symbol).  A
 # valid abstract word alternates, starts and ends with a gap, and its
-# capped total equals alpha's class; the shape NFA recognizes exactly
-# those, and every public construction keeps languages inside it.
+# capped total equals alpha's class.  Gap NFAs may also accept invalid
+# words: the shape is checked only where a language is read
+# (accepts_abstract, emptiness_witness).  That is sound because every
+# construction commutes with intersecting the shape language.  Product,
+# union and complement act on words symbol by symbol; the projection
+# merges g, 1, g' into one gap, which keeps alternation and, because
+# class addition is associative, the capped total.
 
 
 @dataclass(frozen=True, eq=False)
 class GapNFA:
-    """Classical NFA over gap classes and non-blank letters."""
+    """Classical NFA over gap classes and non-blank letters.
+
+    Its language is read through the shape: the words it stands for are
+    the shape-valid words it accepts.
+    """
 
     policy: CapPolicy
     alphabet: Alphabet
@@ -248,56 +257,46 @@ def abstract_word(gw: GapWord, policy: CapPolicy) -> tuple:
     return tuple(out)
 
 
+def _shape(policy: CapPolicy):
+    """The shape language as (start, accepting state, deterministic step).
+
+    A shape state is (kind of symbol expected next, capped total so
+    far); the total advances by gap classes and by the class of 1 per
+    letter, and ``step`` returns None for a symbol of the wrong kind.
+    Because alpha's class is a singleton under the policy, a word ends
+    in the accepting state iff some (equivalently, every)
+    concretization of its gaps sums to exactly alpha.
+    """
+    one = policy.one_class
+
+    def step(state: tuple, gsym: tuple) -> tuple | None:
+        kind, acc = state
+        if gsym[0] != kind:
+            return None
+        if kind == "gap":
+            return ("let", policy.add_classes(acc, gsym[1]))
+        return ("gap", policy.add_classes(acc, one))
+
+    return ("gap", policy.zero_class), ("let", policy.alpha_class), step
+
+
 def accepts_abstract(nfa: GapNFA, gsyms: Sequence[tuple]) -> bool:
+    """Is the abstract word shape-valid and accepted by ``nfa``?"""
+    shape, accept, step = _shape(nfa.policy)
     cur = set(nfa.initial)
     for gs in gsyms:
+        shape = step(shape, gs)
+        if shape is None:
+            return False
         cur = {p for q in cur for p in nfa.step(q, gs)}
         if not cur:
             return False
-    return bool(cur & nfa.final)
+    return shape == accept and bool(cur & nfa.final)
 
 
 def accepts_word(nfa: GapNFA, w: AlphaWord) -> bool:
     """Convenience: abstract acceptance of a concrete word."""
     return accepts_abstract(nfa, abstract_word(encode_gaps(w), nfa.policy))
-
-
-def shape_nfa(policy: CapPolicy, alpha_bet: Alphabet) -> GapNFA:
-    """All shape-valid abstract words: alternation plus capped total = alpha.
-
-    States track (what may come next, class accumulated so far); the
-    accumulator advances by gap classes and by the class of 1 per
-    letter.  Because alpha's class is a singleton under the policy, a
-    word is accepted iff some (equivalently, every) concretization of
-    its gaps sums to exactly alpha.
-    """
-    letters = alpha_bet.letters()
-    one = policy.one_class
-    start = ("gap", policy.zero_class)
-    states = {start}
-    delta: dict = {}
-    queue: deque = deque([start])
-    while queue:
-        st = queue.popleft()
-        kind, acc = st
-        if kind == "gap":
-            for cls in policy.all_classes():
-                nxt = ("letter", policy.add_classes(acc, cls))
-                delta.setdefault((st, ("gap", cls)), set()).add(nxt)
-                if nxt not in states:
-                    states.add(nxt)
-                    queue.append(nxt)
-        else:
-            nxt = ("gap", policy.add_classes(acc, one))
-            for sym in letters:
-                delta.setdefault((st, ("let", sym)), set()).add(nxt)
-            if letters and nxt not in states:
-                states.add(nxt)
-                queue.append(nxt)
-    final = frozenset(
-        st for st in states if st[0] == "letter" and st[1] == policy.alpha_class
-    )
-    return GapNFA(policy, alpha_bet, frozenset(states), frozenset({start}), final, delta)
 
 
 def _check_coverage(aut: OrdinalAutomaton, policy: CapPolicy) -> None:
@@ -318,11 +317,12 @@ def to_gap_nfa(
 ) -> GapNFA:
     """Factor an ordinal automaton through gap classes.
 
-    Gap-class transitions are the blank-stretch reachability relations
-    of class representatives; letter transitions come straight from the
-    successor table.  The result is intersected with the shape language
-    so that abstract acceptance is equivalent to membership:
-    member(aut, w) iff the shadow of encode_gaps(w) is accepted.
+    The result is the skeleton: the automaton's own states, gap-class
+    transitions given by the blank-stretch reachability relations of
+    class representatives, and letter transitions straight from the
+    successor table.  Read through the shape, abstract acceptance is
+    equivalent to membership: member(aut, w) iff the shadow of
+    encode_gaps(w) is accepted.
     """
     if alpha is not None and alpha != policy.alpha:
         raise GapError(f"alpha {alpha} does not match policy alpha {policy.alpha}")
@@ -336,10 +336,7 @@ def to_gap_nfa(
     for (q, s), targets in aut.succ.items():
         if s != blank:
             delta.setdefault((q, ("let", s)), set()).update(targets)
-    skeleton = GapNFA(
-        policy, aut.alphabet, aut.states, aut.initial, aut.final, delta
-    )
-    return nfa_product(skeleton, shape_nfa(policy, aut.alphabet))
+    return GapNFA(policy, aut.alphabet, aut.states, aut.initial, aut.final, delta)
 
 
 # -- NFA algebra -------------------------------------------------------------
@@ -473,17 +470,16 @@ def determinize(nfa: GapNFA) -> GapNFA:
 
 
 def complement(nfa: GapNFA) -> GapNFA:
-    """Shape-valid words not accepted: determinize, flip, re-shape."""
+    """Words not accepted: determinize and flip the final states.
+
+    Read through the shape, this is the set of shape-valid words that
+    ``nfa`` rejects.
+    """
     dfa = determinize(nfa)
-    flipped = GapNFA(
-        dfa.policy,
-        dfa.alphabet,
-        dfa.states,
-        dfa.initial,
-        dfa.states - dfa.final,
+    return GapNFA(
+        dfa.policy, dfa.alphabet, dfa.states, dfa.initial, dfa.states - dfa.final,
         dfa.delta,
     )
-    return trim(nfa_product(flipped, shape_nfa(nfa.policy, nfa.alphabet)))
 
 
 def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
@@ -547,74 +543,48 @@ def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
                                         f"{budget} (state, class) pairs"
                                     )
                                 queue.append(node)
-    projected = GapNFA(
-        policy, narrow, nfa.states, nfa.initial, nfa.final, delta
-    )
-    return trim(projected)
+    return trim(GapNFA(policy, narrow, nfa.states, nfa.initial, nfa.final, delta))
 
 
 def emptiness_witness(nfa: GapNFA) -> GapWord | None:
-    """Shortest accepted abstract word, concretized, or None.
+    """The least accepted shape-valid abstract word, concretized, or None.
 
-    Breadth-first over states in a fixed order, so witnesses are
-    deterministic; gaps take their minimal class representatives and
+    Breadth-first over sets of (state, shape state) pairs that share
+    one word, trying symbols in ``repr`` order; a pair joins only the
+    first set that reaches it.  The sets leave the FIFO queue in
+    length-lexicographic order of their words, so the first set that
+    accepts holds the least accepted word and witnesses are
+    deterministic.  Gaps take their minimal class representatives, and
     the reassembled word is re-checked to sum to exactly alpha.
     """
+    policy = nfa.policy
+    start, accept, step = _shape(policy)
     syms = sorted(nfa.symbols(), key=repr)
-    order = {q: i for i, q in enumerate(sorted(nfa.states, key=repr))}
-    parent: dict = {}
-    queue: deque = deque()
-    for q in sorted(nfa.initial, key=repr):
-        parent[q] = None
-        queue.append(q)
-    goal = None
-    for q in queue:
-        if q in nfa.final:
-            goal = q
-            break
-    while goal is None and queue:
-        q = queue.popleft()
-        for gs in syms:
-            for p in sorted(nfa.step(q, gs), key=lambda s: order[s]):
-                if p not in parent:
-                    parent[p] = (q, gs)
-                    if p in nfa.final:
-                        goal = p
-                        break
-                    queue.append(p)
-            if goal is not None:
-                break
-        if goal is not None:
-            break
-    if goal is None:
-        return None
-    path: list[tuple] = []
-    cur = goal
-    while parent[cur] is not None:
-        prev, gs = parent[cur]
-        path.append(gs)
-        cur = prev
-    path.reverse()
-    return _concretize(path, nfa.policy)
+    by_kind = {kind: [gs for gs in syms if gs[0] == kind] for kind in ("gap", "let")}
+    seen = {(q, start) for q in nfa.initial}
+    queue: deque = deque([(start, nfa.initial, ())])
+    while queue:
+        shape, states, word = queue.popleft()
+        for gs in by_kind[shape[0]]:
+            nxt = step(shape, gs)
+            fresh = set()
+            for q in states:
+                for p in nfa.step(q, gs):
+                    if (p, nxt) not in seen:
+                        seen.add((p, nxt))
+                        fresh.add(p)
+            if not fresh:
+                continue
+            if nxt == accept and fresh & nfa.final:
+                return _concretize(word + (gs,), policy)
+            queue.append((nxt, fresh, word + (gs,)))
+    return None
 
 
 def _concretize(gsyms: Sequence[tuple], policy: CapPolicy) -> GapWord:
-    gaps: list[Ordinal] = []
-    letters: list[Symbol] = []
-    expect = "gap"
-    for gs in gsyms:
-        kind = gs[0]
-        if kind != expect:
-            raise GapError("accepted abstract word is not shape-valid")
-        if kind == "gap":
-            gaps.append(policy.representative(gs[1]))
-            expect = "let"
-        else:
-            letters.append(gs[1])
-            expect = "gap"
-    if expect != "let":
-        raise GapError("accepted abstract word is not shape-valid")
+    gaps = tuple(policy.representative(gs[1]) for gs in gsyms[0::2])
+    letters = tuple(gs[1] for gs in gsyms[1::2])
     try:
-        return GapWord(policy.alpha, tuple(gaps), tuple(letters))
+        return GapWord(policy.alpha, gaps, letters)
     except GapError as exc:
         raise GapError(f"concretization failed, cap policy unsound: {exc}") from exc

@@ -348,7 +348,9 @@ def compile_formula(f: Formula, pres: Presentation) -> gc.GapNFA:
     """Gap NFA of the free-variable convolutions satisfying ``f``.
 
     Tracks are the free variables sorted by name; every track is
-    relativized to the domain language.
+    relativized to the domain language.  Like every gap NFA it is read
+    through the shape: its shape-valid accepted words are the shadows of
+    the satisfying convolutions, and it may accept invalid words too.
     """
     free = tuple(sorted(free_variables(f)))
     if not free:

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, stdout shapes, deterministic reports."""
 
 import json
+import time
 
 import pytest
 
@@ -157,6 +158,15 @@ def test_umset_radius_over_the_enumeration_cap_is_exit_three(capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius, bound", [("8", "w^9"), ("7", "w^2")])
+def test_umset_box_over_the_enumeration_cap_is_exit_three_at_once(radius, bound, capsys):
+    # the budget counts the candidates before trying any, whatever the bound
+    start = time.perf_counter()
+    assert main(["umset", "-X", "w*2+1", "-m", radius, "-d", bound]) == 3
+    assert time.perf_counter() - start < 1
+    assert "U_ENUM_BOX_MAX" in capsys.readouterr().err
+
+
 def test_umset_bad_ordinal_is_a_usage_error(capsys):
     assert main(["umset", "-X", "w+w", "-m", "1", "-d", "w^2"]) == 2
     capsys.readouterr()
@@ -217,6 +227,7 @@ def test_growth_probe_output_and_determinism(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, budget", [
+    ("--stages", "STAGES_MAX"),
     ("--rado", "RADO_MAX_N"),
     ("--squaring", "SQUARING_MAX_SUPPORT"),
 ])
@@ -279,7 +290,9 @@ def test_examples_round_trip_through_member(tmp_path, capsys):
         id="missing-file"),
     pytest.param(
         ["umset", "-X", "w+1", "-m", "9", "-d", "w^2"], 3,
-        "ResourceLimitExceeded", "neighborhood enumeration needs m <= 8, got 9",
+        "ResourceLimitExceeded",
+        "neighborhood enumeration of radius 9 tries more than U_ENUM_BOX_MAX = 200000 "
+        "candidates",
         id="enumeration-cap"),
     pytest.param(
         ["examples", "nosuch"], 2, "UsageError", "unknown example 'nosuch'",

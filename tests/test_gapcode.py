@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ordinalia.gapcode import (
     CapPolicy,
     GapError,
+    GapNFA,
     GapWord,
     abstract_word,
     accepts_abstract,
@@ -20,13 +21,12 @@ from ordinalia.gapcode import (
     exists_project,
     nfa_product,
     nfa_union,
-    shape_nfa,
     to_gap_nfa,
     trim,
 )
 from ordinalia.ordinals import ZERO, Ordinal, add, from_int, parse_ordinal
 from ordinalia.semantics import member
-from ordinalia.words import blank_word, convolve, make_word, support
+from ordinalia.words import blank_word, convolve, make_word, product_alphabet, support
 
 from conftest import AB, random_automaton
 
@@ -137,12 +137,17 @@ def test_factoring_random_sample(rng):
 
 def test_shape_language_constrains_alternation():
     _, pol = fixture_policy()
-    shp = shape_nfa(pol, AB)
+    # One state accepting every symbol sequence: only the shape can reject.
+    delta = {(0, ("gap", cls)): {0} for cls in pol.all_classes()}
+    delta.update(((0, ("let", s)), {0}) for s in AB.letters())
+    anything = GapNFA(pol, AB, frozenset({0}), frozenset({0}), frozenset({0}), delta)
     good = abstract_word(encode_gaps(make_word(W2, [(from_int(3), "a")], AB)), pol)
-    assert accepts_abstract(shp, good)
+    assert accepts_abstract(anything, good)
     # Two letters in a row is not a shape any encoding produces.
-    bad = (good[0], good[1], good[1], good[2])
-    assert not accepts_abstract(shp, bad)
+    assert not accepts_abstract(anything, (good[0], good[1], good[1], good[2]))
+    # Alternating, but the capped total is the class of 3 + 1 + 3, not w^2's.
+    short = ("gap", pol.class_of(from_int(3)))
+    assert not accepts_abstract(anything, (short, good[1], short))
 
 
 def test_complement_flips_membership(rng):
@@ -195,6 +200,29 @@ def test_exists_project_drops_a_track(rng):
         assert accepts_word(anything, w)
 
 
+def test_exists_project_accepts_every_word_some_second_track_extends(rng):
+    # one-way brute force: a second track u, found by search over a small
+    # box of supports, that puts convolve([v, u]) in the language forces
+    # v into the projection
+    boxes = [Ordinal(c) for c in ((0,), (1,), (0, 1), (1, 1))]
+    seconds = [
+        make_word(W2, [(p, s) for p, s in zip(boxes, syms) if s != "_"], AB)
+        for syms in itertools.product(["_", "a", "b"], repeat=len(boxes))
+    ]
+    extended = 0
+    for _ in range(16):
+        aut = random_automaton(rng, max_states=3, alpha_bet=product_alphabet(AB, 2))
+        proj = exists_project(to_gap_nfa(aut, cap_policy([aut], W2)), 1)
+        for _ in range(4):
+            entries = {rng.choice(boxes): rng.choice(["a", "b"])
+                       for _ in range(rng.randint(0, 1))}
+            v = make_word(W2, entries.items(), AB)
+            if any(member(aut, convolve([v, u])) for u in seconds):
+                extended += 1
+                assert accepts_word(proj, v)
+    assert extended >= 8
+
+
 def test_emptiness_witness_round_trips(rng):
     found = 0
     for _ in range(40):
@@ -218,6 +246,34 @@ def test_emptiness_witness_none_for_empty_language():
     nfa = to_gap_nfa(universal, pol, W2)
     empty = nfa_product(nfa, complement(nfa))
     assert emptiness_witness(empty) is None
+
+
+def _least_accepted_word(nfa, max_symbols):
+    """Length-lexicographic search, in repr order, over alternating words."""
+    syms = sorted(nfa.symbols(), key=repr)
+    kinds = [[gs for gs in syms if gs[0] == kind] for kind in ("gap", "let")]
+    for n in range(1, max_symbols + 1, 2):
+        for word in itertools.product(*(kinds[i % 2] for i in range(n))):
+            if accepts_abstract(nfa, word):
+                return word
+    return None
+
+
+def test_emptiness_witness_is_the_least_accepted_word(rng):
+    found = 0
+    for _ in range(12):
+        aut = random_automaton(rng, max_states=3)
+        pol = cap_policy([aut], W2)
+        nfa = to_gap_nfa(aut, pol, W2)
+        for lang in (nfa, complement(nfa)):
+            least = _least_accepted_word(lang, 5)
+            gw = emptiness_witness(lang)
+            if least is None:
+                assert gw is None or len(gw.gaps) + len(gw.letters) > 5
+                continue
+            found += 1
+            assert abstract_word(encode_gaps(decode_gaps(gw, AB)), pol) == least
+    assert found >= 10
 
 
 def test_trim_preserves_the_language(rng):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordinalia import growth
+from ordinalia import examples
 from ordinalia.automata import equality_automaton
 from ordinalia.semantics import ResourceLimitExceeded
 from ordinalia.examples import (
@@ -21,6 +21,7 @@ from ordinalia.examples import (
     rado_growth_demo,
     squaring_experiment,
     tn_words,
+    transversal_minimum,
     wellorder_automaton,
 )
 from ordinalia.growth import (
@@ -217,15 +218,16 @@ def test_nu_transversal_minimum_with_custom_free_family():
     # classes: the parameter alone, and the seven other words; every
     # transversal contains words[0], only one contains words[3]
     fsets = [frozenset({words[0]}), frozenset({words[0], words[3]})]
-    assert nu_of_E(fam, E, words, free_family=fsets) == 1
+    sig = lambda w: signature(fam, E, w)
+    assert transversal_minimum(words, sig, fsets) == 1
 
 
 def test_nu_respects_the_transversal_cap(monkeypatch):
     fam = one_state_family()
     words = list(tn_words(1))
-    monkeypatch.setattr(growth, "TRANSVERSAL_CAP", 1)
+    monkeypatch.setattr(examples, "TRANSVERSAL_CAP", 1)
     with pytest.raises(ResourceLimitExceeded):
-        nu_of_E(fam, [words[0]], words, free_family=[])
+        transversal_minimum(words, lambda w: signature(fam, [words[0]], w), [])
 
 
 # ------------------------------------------------------------ surgery

@@ -43,13 +43,18 @@ print("all-blank w^2 word accepted:", member(aut, blank_word(W2, AB)))
 
 # -- reachability through towers of blanks -----------------------------------
 #
-# reach_power(aut, sym, m) is the relation "reading sym for w^m steps".
-# From the state-count bound onward, multiplying the tower height changes
-# nothing: the relation has already saturated.
+# reach_power(aut, sym, m) is the relation "reading sym for w^m steps":
+# row q is a bitmask of the states reachable from q, with the states
+# numbered in sorted(repr) order.  From the state-count bound onward,
+# multiplying the tower height changes nothing: the relation has
+# already saturated.
 
 print()
 m = len(aut.states)
 rel = reach_power(aut, "_", m)
-print("pairs reachable across w^%d blanks:" % m, sorted(rel))
+names = sorted(aut.states, key=repr)
+pairs = [(names[q], names[p]) for q, row in enumerate(rel)
+         for p in range(len(names)) if row >> p & 1]
+print("pairs reachable across w^%d blanks:" % m, sorted(pairs))
 for c in (2, 3, 5, "omega"):
     print("  saturated at factor %-5s:" % c, saturation_holds(aut, "_", m, c))

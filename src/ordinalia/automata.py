@@ -5,8 +5,9 @@ use an ordinary transition relation; at each limit position the run
 must jump to a state designated for the *set* of states visited
 cofinally below that position.  Machines are immutable and compare by
 identity; each carries a private memo in which the run-analysis layer
-keeps what it has computed about that machine, so the results live
-exactly as long as the machine does.
+keeps the machine's tables compiled to rows of state bitmasks and what
+it has computed about the machine, so the results live exactly as long
+as the machine does.
 
 Track reindexing works on the transition tables directly; the
 semantic justification lives with the run-analysis code in

@@ -38,10 +38,10 @@ from .logic import Presentation
 from .ordinals import ONE, OMEGA, ZERO, Ordinal, add, interval_type, omega_power
 from .semantics import (
     ResourceLimitExceeded,
+    accepts,
     compose,
-    identity_relation,
+    compiled,
     const_reach,
-    reach_power,
     member,
 )
 from .words import (
@@ -233,17 +233,13 @@ def accepted_count(
     """How many words with support inside ``positions`` are accepted.
 
     Every position independently carries one of ``letters`` or blank.
-    Counting walks the choice tree depth-first, reusing the run
-    relation of the shared prefix, so the cost per leaf is one
+    Counting walks the choice tree depth-first, reusing the set of
+    states reached on the shared prefix, so the cost per leaf is one
     relation composition instead of a full membership check.
     """
     positions = sorted(positions)
     blank = aut.alphabet.blank
-
-    def accepts_via(rel) -> bool:
-        return any(q in aut.initial and p in aut.final for q, p in rel)
-
-    step_rel = {s: reach_power(aut, s, 0) for s in letters}
+    comp = compiled(aut)
 
     def walk(k: int, cursor: Ordinal, rel) -> int:
         if k == len(positions):
@@ -251,17 +247,17 @@ def accepted_count(
             final_rel = (
                 rel if gap.is_zero else compose(rel, const_reach(aut, blank, gap))
             )
-            return 1 if accepts_via(final_rel) else 0
+            return 1 if accepts(aut, final_rel) else 0
         pos = positions[k]
         gap = interval_type(cursor, pos)
         at_pos = rel if gap.is_zero else compose(rel, const_reach(aut, blank, gap))
         count = walk(k + 1, cursor, rel)  # leave this position blank
         nxt = add(pos, ONE)
         for s in letters:
-            count += walk(k + 1, nxt, compose(at_pos, step_rel[s]))
+            count += walk(k + 1, nxt, compose(at_pos, comp.rows[s]))
         return count
 
-    return walk(0, ZERO, identity_relation(aut.states))
+    return walk(0, ZERO, (comp.initial,))
 
 
 # -- Presburger arithmetic (naturals, base 2, LSB first) ----------------------
@@ -414,10 +410,7 @@ def growth_bound_probe(max_stage: int = 2, rng=None):
     generators forward, cross-checked against the automata on 40
     random triples when an rng is supplied.
     """
-    if max_stage > STAGES_MAX:
-        raise ResourceLimitExceeded(
-            f"growth probe needs stages <= STAGES_MAX = {STAGES_MAX}, got {max_stage}"
-        )
+    _check_probe_size("growth probe needs stages", max_stage, "STAGES_MAX", STAGES_MAX)
     family = RelationFamily(tuple(generator_relations()), W2)
     tags = ("a", "b")
     rows: list[ProbeRow] = []
@@ -472,6 +465,14 @@ SQUARING_MAX_SUPPORT = 7
 TRANSVERSAL_CAP = 4096
 
 
+def _check_probe_size(what: str, size: int, cap_name: str, cap: int) -> None:
+    """Raise unless 0 <= size <= cap; ``what`` opens the message."""
+    if size < 0:
+        raise GrowthError(f"{what} >= 0, got {size}")
+    if size > cap:
+        raise ResourceLimitExceeded(f"{what} <= {cap_name} = {cap}, got {size}")
+
+
 @dataclass(frozen=True)
 class RadoRow:
     n: int
@@ -485,10 +486,7 @@ def rado_growth_demo(max_n: int = 4):
     so the count is exact, and it exceeds n*k for every fixed k once n
     is large enough — the growth no automaton-presented family attains.
     """
-    if max_n > RADO_MAX_N:
-        raise ResourceLimitExceeded(
-            f"bit-graph probe needs n <= RADO_MAX_N = {RADO_MAX_N}, got {max_n}"
-        )
+    _check_probe_size("bit-graph probe needs n", max_n, "RADO_MAX_N", RADO_MAX_N)
     rows = []
     for n in range(max_n + 1):
         sigs = {
@@ -528,11 +526,8 @@ def squaring_experiment(max_support: int = 3):
     distinguishable values, which is the shape of argument that rules
     out automaton presentations of rings with such definable maps.
     """
-    if max_support > SQUARING_MAX_SUPPORT:
-        raise ResourceLimitExceeded(
-            f"squaring probe needs support <= SQUARING_MAX_SUPPORT = "
-            f"{SQUARING_MAX_SUPPORT}, got {max_support}"
-        )
+    _check_probe_size("squaring probe needs support", max_support,
+                      "SQUARING_MAX_SUPPORT", SQUARING_MAX_SUPPORT)
     rows = []
     for s in range(1, max_support + 1):
         subs = list(range(1 << s))

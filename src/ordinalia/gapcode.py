@@ -25,7 +25,14 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import OrdinalAutomaton
 from .ordinals import ONE, ZERO, Ordinal, add, interval_type
-from .semantics import ResourceLimitExceeded, const_reach, power_cycle
+from .semantics import (
+    ResourceLimitExceeded,
+    bits,
+    compiled,
+    const_reach,
+    image,
+    power_cycle,
+)
 from .words import Alphabet, AlphaWord, Symbol, make_word, product_alphabet
 
 MAX_DFA_STATES = 1 << 16
@@ -216,23 +223,27 @@ def cap_policy(working: Iterable[OrdinalAutomaton], alpha: Ordinal) -> CapPolicy
 class GapNFA:
     """Classical NFA over gap classes and non-blank letters.
 
-    Its language is read through the shape: the words it stands for are
-    the shape-valid words it accepts.
+    States are 0..size-1 and sets of states are bitmasks.  ``delta``
+    maps every abstract symbol to a relation in the sense of
+    :mod:`ordinalia.semantics`: a tuple of ``size`` rows, row q the mask
+    of successors of q.  Its language is read through the shape: the
+    words it stands for are the shape-valid words it accepts.
     """
 
     policy: CapPolicy
     alphabet: Alphabet
-    states: frozenset
-    initial: frozenset
-    final: frozenset
+    size: int
+    initial: int
+    final: int
     delta: Mapping
 
-    def __post_init__(self) -> None:
-        delta = {k: frozenset(v) for k, v in self.delta.items() if v}
-        object.__setattr__(self, "delta", delta)
+    @property
+    def states(self) -> range:
+        return range(self.size)
 
-    def step(self, q: object, gsym: tuple) -> frozenset:
-        return self.delta.get((q, gsym), frozenset())
+    def step(self, states: int, gsym: tuple) -> int:
+        """The states reached from the set ``states`` on one symbol."""
+        return image(states, self.delta[gsym])
 
     def symbols(self) -> Iterator[tuple]:
         for cls in self.policy.all_classes():
@@ -242,10 +253,6 @@ class GapNFA:
 
     def symbol_count(self) -> int:
         return self.policy.class_count() + len(self.alphabet.letters())
-
-    @property
-    def size(self) -> int:
-        return len(self.states)
 
 
 def abstract_word(gw: GapWord, policy: CapPolicy) -> tuple:
@@ -283,12 +290,12 @@ def _shape(policy: CapPolicy):
 def accepts_abstract(nfa: GapNFA, gsyms: Sequence[tuple]) -> bool:
     """Is the abstract word shape-valid and accepted by ``nfa``?"""
     shape, accept, step = _shape(nfa.policy)
-    cur = set(nfa.initial)
+    cur = nfa.initial
     for gs in gsyms:
         shape = step(shape, gs)
-        if shape is None:
+        if shape is None or gs not in nfa.delta:
             return False
-        cur = {p for q in cur for p in nfa.step(q, gs)}
+        cur = nfa.step(cur, gs)
         if not cur:
             return False
     return shape == accept and bool(cur & nfa.final)
@@ -317,26 +324,25 @@ def to_gap_nfa(
 ) -> GapNFA:
     """Factor an ordinal automaton through gap classes.
 
-    The result is the skeleton: the automaton's own states, gap-class
+    The result is the skeleton: the automaton's own states, numbered
+    as :func:`~ordinalia.semantics.compiled` numbers them, gap-class
     transitions given by the blank-stretch reachability relations of
     class representatives, and letter transitions straight from the
-    successor table.  Read through the shape, abstract acceptance is
-    equivalent to membership: member(aut, w) iff the shadow of
-    encode_gaps(w) is accepted.
+    compiled successor rows.  Read through the shape, abstract
+    acceptance is equivalent to membership: member(aut, w) iff the
+    shadow of encode_gaps(w) is accepted.
     """
     if alpha is not None and alpha != policy.alpha:
         raise GapError(f"alpha {alpha} does not match policy alpha {policy.alpha}")
     _check_coverage(aut, policy)
     blank = aut.alphabet.blank
-    delta: dict = {}
-    for cls in policy.all_classes():
-        rel = const_reach(aut, blank, policy.representative(cls))
-        for q, p in rel:
-            delta.setdefault((q, ("gap", cls)), set()).add(p)
-    for (q, s), targets in aut.succ.items():
-        if s != blank:
-            delta.setdefault((q, ("let", s)), set()).update(targets)
-    return GapNFA(policy, aut.alphabet, aut.states, aut.initial, aut.final, delta)
+    comp = compiled(aut)
+    delta = {
+        ("gap", cls): const_reach(aut, blank, policy.representative(cls))
+        for cls in policy.all_classes()
+    }
+    delta.update((("let", s), comp.rows[s]) for s in aut.alphabet.letters())
+    return GapNFA(policy, aut.alphabet, len(aut.states), comp.initial, comp.final, delta)
 
 
 # -- NFA algebra -------------------------------------------------------------
@@ -349,124 +355,104 @@ def _compatible(x: GapNFA, y: GapNFA, what: str) -> None:
         raise GapError(f"{what}: alphabet mismatch")
 
 
+def _bit(found: list, index: dict, key) -> int:
+    """The bit of ``key``, numbering it next and appending it to
+    ``found`` when it is new."""
+    at = index.get(key)
+    if at is None:
+        at = index[key] = len(found)
+        found.append(key)
+    return 1 << at
+
+
 def nfa_product(x: GapNFA, y: GapNFA) -> GapNFA:
-    """Intersection; only pairs reachable from the initial set are built."""
+    """Intersection; only pairs reachable from the initial set are built,
+    numbered in the order they are found."""
     _compatible(x, y, "nfa_product")
-    syms = list(x.symbols())
-    initial = frozenset(itertools.product(x.initial, y.initial))
-    states: set = set(initial)
-    delta: dict = {}
-    queue: deque = deque(initial)
-    while queue:
-        pq = queue.popleft()
-        p, q = pq
-        for gs in syms:
-            ts = x.step(p, gs)
-            us = y.step(q, gs)
-            if ts and us:
-                nxts = frozenset(itertools.product(ts, us))
-                delta[(pq, gs)] = nxts
-                for n in nxts:
-                    if n not in states:
-                        states.add(n)
-                        queue.append(n)
-    final = frozenset(
-        (p, q) for p, q in states if p in x.final and q in y.final
-    )
-    return GapNFA(x.policy, x.alphabet, frozenset(states), initial, final, delta)
+    pairs: list = []
+    index: dict = {}
+    initial = 0
+    for p in bits(x.initial):
+        for q in bits(y.initial):
+            initial |= _bit(pairs, index, (p, q))
+    rows: dict = {gs: [] for gs in x.symbols()}
+    for p, q in pairs:  # grows while it is read: a breadth-first search
+        for gs, out in rows.items():
+            row = 0
+            us = y.delta[gs][q]
+            if us:
+                for t in bits(x.delta[gs][p]):
+                    for u in bits(us):
+                        row |= _bit(pairs, index, (t, u))
+            out.append(row)
+    final = sum(1 << at for at, (p, q) in enumerate(pairs)
+                if x.final >> p & 1 and y.final >> q & 1)
+    delta = {gs: tuple(out) for gs, out in rows.items()}
+    return GapNFA(x.policy, x.alphabet, len(pairs), initial, final, delta)
 
 
 def nfa_union(x: GapNFA, y: GapNFA) -> GapNFA:
+    """Disjoint union: the states of ``y`` follow those of ``x``."""
     _compatible(x, y, "nfa_union")
-
-    def tag(i: int, q: object) -> tuple:
-        return (i, q)
-
-    states = frozenset(tag(0, q) for q in x.states) | frozenset(
-        tag(1, q) for q in y.states
-    )
-    initial = frozenset(tag(0, q) for q in x.initial) | frozenset(
-        tag(1, q) for q in y.initial
-    )
-    final = frozenset(tag(0, q) for q in x.final) | frozenset(
-        tag(1, q) for q in y.final
-    )
+    n = x.size
     delta = {
-        ((tag(0, q), gs)): frozenset(tag(0, p) for p in v)
-        for (q, gs), v in x.delta.items()
+        gs: x.delta[gs] + tuple(row << n for row in y.delta[gs]) for gs in x.symbols()
     }
-    delta.update(
-        ((tag(1, q), gs), frozenset(tag(1, p) for p in v))
-        for (q, gs), v in y.delta.items()
-    )
-    return GapNFA(x.policy, x.alphabet, states, initial, final, delta)
+    return GapNFA(x.policy, x.alphabet, n + y.size, x.initial | y.initial << n,
+                  x.final | y.final << n, delta)
 
 
 def trim(nfa: GapNFA) -> GapNFA:
-    """Drop states not on any initial-to-final path."""
-    fwd: dict = {}
-    bwd: dict = {}
-    for (q, _), targets in nfa.delta.items():
-        fwd.setdefault(q, set()).update(targets)
-        for p in targets:
-            bwd.setdefault(p, set()).add(q)
-
-    def closure(seed: frozenset, edges: dict) -> set:
-        seen = set(seed)
-        stack = list(seed)
-        while stack:
-            q = stack.pop()
-            for p in edges.get(q, ()):
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return seen
-
-    keep = closure(nfa.initial, fwd) & closure(nfa.final, bwd)
-    delta = {}
-    for (q, gs), targets in nfa.delta.items():
-        if q in keep:
-            kept = targets & keep
-            if kept:
-                delta[(q, gs)] = kept
-    return GapNFA(
-        nfa.policy,
-        nfa.alphabet,
-        frozenset(keep),
-        nfa.initial & keep,
-        nfa.final & keep,
-        delta,
-    )
+    """Drop states not on any initial-to-final path; the kept states are
+    renumbered in order."""
+    moves = [0] * nfa.size
+    for rows in nfa.delta.values():
+        for q, row in enumerate(rows):
+            moves[q] |= row
+    live = frontier = nfa.initial
+    while frontier:
+        frontier = image(frontier, moves) & ~live
+        live |= frontier
+    useful, grown = 0, nfa.final
+    while grown != useful:
+        useful = grown
+        for q, row in enumerate(moves):
+            if row & useful:
+                grown |= 1 << q
+    kept = list(bits(live & useful))
+    # renaming is composition with the relation old state -> new state
+    rename = [0] * nfa.size
+    for new, old in enumerate(kept):
+        rename[old] = 1 << new
+    delta = {
+        gs: tuple(image(rows[old], rename) for old in kept)
+        for gs, rows in nfa.delta.items()
+    }
+    return GapNFA(nfa.policy, nfa.alphabet, len(kept), image(nfa.initial, rename),
+                  image(nfa.final, rename), delta)
 
 
 def determinize(nfa: GapNFA) -> GapNFA:
-    """Total subset-construction DFA (state sets as frozensets)."""
+    """Total subset-construction DFA; each state is a subset of the NFA's
+    states, numbered in the order found, so every row has one bit."""
     if nfa.symbol_count() > MAX_ABSTRACT_SYMBOLS:
         raise ResourceLimitExceeded(
             f"abstract alphabet has {nfa.symbol_count()} symbols, "
             f"over the {MAX_ABSTRACT_SYMBOLS} limit"
         )
-    syms = list(nfa.symbols())
-    start = frozenset(nfa.initial)
-    states: set = {start}
-    delta: dict = {}
-    queue: deque = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for gs in syms:
-            nxt = frozenset(p for q in cur for p in nfa.step(q, gs))
-            delta[(cur, gs)] = {nxt}
-            if nxt not in states:
-                states.add(nxt)
-                if len(states) > MAX_DFA_STATES:
-                    raise ResourceLimitExceeded(
-                        f"determinization exceeded {MAX_DFA_STATES} states"
-                    )
-                queue.append(nxt)
-    final = frozenset(s for s in states if s & nfa.final)
-    return GapNFA(
-        nfa.policy, nfa.alphabet, frozenset(states), frozenset({start}), final, delta
-    )
+    subsets = [nfa.initial]
+    index = {nfa.initial: 0}
+    rows: dict = {gs: [] for gs in nfa.symbols()}
+    for cur in subsets:  # grows while it is read: a breadth-first search
+        for gs, out in rows.items():
+            out.append(_bit(subsets, index, nfa.step(cur, gs)))
+            if len(subsets) > MAX_DFA_STATES:
+                raise ResourceLimitExceeded(
+                    f"determinization exceeded {MAX_DFA_STATES} states"
+                )
+    final = sum(1 << at for at, subset in enumerate(subsets) if subset & nfa.final)
+    delta = {gs: tuple(out) for gs, out in rows.items()}
+    return GapNFA(nfa.policy, nfa.alphabet, len(subsets), 1, final, delta)
 
 
 def complement(nfa: GapNFA) -> GapNFA:
@@ -476,10 +462,8 @@ def complement(nfa: GapNFA) -> GapNFA:
     ``nfa`` rejects.
     """
     dfa = determinize(nfa)
-    return GapNFA(
-        dfa.policy, dfa.alphabet, dfa.states, dfa.initial, dfa.states - dfa.final,
-        dfa.delta,
-    )
+    rejecting = ~dfa.final & (1 << dfa.size) - 1
+    return GapNFA(dfa.policy, dfa.alphabet, dfa.size, dfa.initial, rejecting, dfa.delta)
 
 
 def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
@@ -504,46 +488,41 @@ def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
 
     policy = nfa.policy
     one = policy.one_class
-    erasable = [
-        ("let", s) for s in nfa.alphabet.letters() if proj(s) == narrow.blank
-    ]
-    gap_syms = [("gap", cls) for cls in policy.all_classes()]
-
-    delta: dict = {}
-    for (q, gs), targets in nfa.delta.items():
-        if gs[0] == "let":
-            ps = proj(gs[1])
-            if ps != narrow.blank:
-                delta.setdefault((q, ("let", ps)), set()).update(targets)
-
-    budget = MAX_MERGE_PAIRS
-    for q in nfa.states:
-        seen: set = set()
-        queue: deque = deque()
-        for gs in gap_syms:
-            for p in nfa.step(q, gs):
-                node = (p, gs[1])
-                if node not in seen:
-                    seen.add(node)
-                    queue.append(node)
+    classes = list(policy.all_classes())
+    n = nfa.size
+    letters = {ps: [0] * n for ps in (narrow.blank, *narrow.letters())}
+    for s in nfa.alphabet.letters():
+        for q, row in enumerate(nfa.delta[("let", s)]):
+            letters[proj(s)][q] |= row
+    erase = letters.pop(narrow.blank)  # one letter whose projection is blank
+    gaps = {cls: [0] * n for cls in classes}
+    for q in range(n):
+        reached: dict = {}  # merged class -> states
+        pairs = 0
+        queue: deque = deque([(policy.zero_class, 1 << q)])
         while queue:
-            p, acc = queue.popleft()
-            delta.setdefault((q, ("gap", acc)), set()).add(p)
-            for els in erasable:
-                for p1 in nfa.step(p, els):
-                    acc1 = policy.add_classes(acc, one)
-                    for gs in gap_syms:
-                        for p2 in nfa.step(p1, gs):
-                            node = (p2, policy.add_classes(acc1, gs[1]))
-                            if node not in seen:
-                                seen.add(node)
-                                if len(seen) > budget:
-                                    raise ResourceLimitExceeded(
-                                        "gap-merge search exceeded "
-                                        f"{budget} (state, class) pairs"
-                                    )
-                                queue.append(node)
-    return trim(GapNFA(policy, narrow, nfa.states, nfa.initial, nfa.final, delta))
+            acc, before = queue.popleft()
+            for cls in classes:
+                total = policy.add_classes(acc, cls)
+                known = reached.get(total, 0)
+                fresh = image(before, nfa.delta[("gap", cls)]) & ~known
+                if not fresh:
+                    continue
+                reached[total] = known | fresh
+                pairs += fresh.bit_count()
+                if pairs > MAX_MERGE_PAIRS:
+                    raise ResourceLimitExceeded(
+                        "gap-merge search exceeded "
+                        f"{MAX_MERGE_PAIRS} (state, class) pairs"
+                    )
+                erased = image(fresh, erase)
+                if erased:
+                    queue.append((policy.add_classes(total, one), erased))
+        for cls, states in reached.items():
+            gaps[cls][q] = states
+    delta = {("gap", cls): tuple(rows) for cls, rows in gaps.items()}
+    delta.update((("let", ps), tuple(rows)) for ps, rows in letters.items())
+    return trim(GapNFA(policy, narrow, n, nfa.initial, nfa.final, delta))
 
 
 def emptiness_witness(nfa: GapNFA) -> GapWord | None:
@@ -561,20 +540,16 @@ def emptiness_witness(nfa: GapNFA) -> GapWord | None:
     start, accept, step = _shape(policy)
     syms = sorted(nfa.symbols(), key=repr)
     by_kind = {kind: [gs for gs in syms if gs[0] == kind] for kind in ("gap", "let")}
-    seen = {(q, start) for q in nfa.initial}
+    seen = {start: nfa.initial}  # shape state -> NFA states met with it
     queue: deque = deque([(start, nfa.initial, ())])
     while queue:
         shape, states, word = queue.popleft()
         for gs in by_kind[shape[0]]:
             nxt = step(shape, gs)
-            fresh = set()
-            for q in states:
-                for p in nfa.step(q, gs):
-                    if (p, nxt) not in seen:
-                        seen.add((p, nxt))
-                        fresh.add(p)
+            fresh = nfa.step(states, gs) & ~seen.get(nxt, 0)
             if not fresh:
                 continue
+            seen[nxt] = seen.get(nxt, 0) | fresh
             if nxt == accept and fresh & nfa.final:
                 return _concretize(word + (gs,), policy)
             queue.append((nxt, fresh, word + (gs,)))

@@ -91,34 +91,21 @@ def k_const(family: RelationFamily) -> int:
 # -- equivalence under parameters ---------------------------------------------
 
 
-def _tuples(family: RelationFamily, E: Sequence[AlphaWord], aut: OrdinalAutomaton):
-    return itertools.product(E, repeat=family.params(aut))
-
-
-def _holds(aut: OrdinalAutomaton, x: AlphaWord, params: tuple) -> bool:
-    return member(aut, convolve([x, *params]) if params else x)
-
-
-def equiv(family: RelationFamily, E: Sequence[AlphaWord],
-          x: AlphaWord, y: AlphaWord) -> bool:
-    """No relation of the family separates x from y with parameters in E."""
-    E = list(E)
-    for aut in family.automata:
-        for params in _tuples(family, E, aut):
-            if _holds(aut, x, params) != _holds(aut, y, params):
-                return False
-    return True
-
-
 def signature(family: RelationFamily, E: Sequence[AlphaWord], x: AlphaWord) -> tuple:
     """Membership bits of x across all relations and parameter tuples;
     equal signatures is the same thing as equivalence."""
     E = list(E)
     return tuple(
-        _holds(aut, x, params)
+        member(aut, convolve([x, *params]) if params else x)
         for aut in family.automata
-        for params in _tuples(family, E, aut)
+        for params in itertools.product(E, repeat=family.params(aut))
     )
+
+
+def equiv(family: RelationFamily, E: Sequence[AlphaWord],
+          x: AlphaWord, y: AlphaWord) -> bool:
+    """No relation of the family separates x from y with parameters in E."""
+    return signature(family, E, x) == signature(family, E, y)
 
 
 @dataclass(frozen=True)
@@ -211,6 +198,8 @@ def _check_enum_box(anchors: Iterable[Ordinal], m: int) -> None:
     itself and, at each exponent k <= m, every other coefficient up to
     the anchor's plus m under (m+1)^k lower digits.  The count stops at
     the cap, so the check is cheap for any m."""
+    if m < 0:
+        raise GrowthError(f"the neighborhood radius must be >= 0, got {m}")
     total = 0
     for beta in anchors:
         total += 1
@@ -258,6 +247,8 @@ def u_set(X: Iterable[Ordinal], m: int, bound: Ordinal) -> frozenset:
 
 def u_iter_set(X: Iterable[Ordinal], m: int, rounds: int, bound: Ordinal) -> frozenset:
     """``rounds``-fold iteration of the m-neighborhood operator."""
+    if m < 0 or rounds < 0:
+        raise GrowthError(f"radius and rounds must be >= 0, got {m} and {rounds}")
     cur = frozenset(o for o in X if o < bound)
     for _ in range(rounds):
         cur = u_set(cur, m, bound)
@@ -307,28 +298,24 @@ def shrink_gap(
             raise GrowthError("shrink window overlaps a parameter support")
     base = family.base_alphabet
 
-    def profile_at(j: int) -> frozenset:
+    def relations_at(j: int) -> tuple:
         hi = gamma if j == 0 else add(gamma, omega_power(n, j))
         seg = restrict(v, gamma, hi)
-        out = set()
-        for i, aut in enumerate(family.automata):
+        rels = []
+        for aut in family.automata:
             p = family.params(aut)
-            if p:
-                tracks = [seg] + [blank_word(seg.length, base)] * p
-                rel = run_relation(aut, convolve(tracks))
-            else:
-                rel = run_relation(aut, seg)
-            out.update((i, q, t) for q, t in rel)
-        return frozenset(out)
+            word = convolve([seg] + [blank_word(seg.length, base)] * p) if p else seg
+            rels.append(run_relation(aut, word))
+        return tuple(rels)
 
     seen: dict = {}
     cut = None
     for j in range(SHRINK_MAX_STEPS + 1):
-        prof = profile_at(j)
-        if prof in seen:
-            cut = (seen[prof], j)
+        rels = relations_at(j)
+        if rels in seen:
+            cut = (seen[rels], j)
             break
-        seen[prof] = j
+        seen[rels] = j
     if cut is None:
         raise ResourceLimitExceeded(
             f"no repeated segment relation within {SHRINK_MAX_STEPS} steps"

@@ -171,8 +171,9 @@ class Presentation:
 
     ``relations`` maps names to (arity, automaton); ``equality`` is
     None for injective presentations (identity = word equality).  The
-    cap policy and the compiled building blocks are cached on first
-    use, which is what makes repeated decide() calls cheap.
+    cap policy and the compiled building blocks are kept in a private
+    memo on first use, which is what makes repeated decide() calls
+    cheap.
     """
 
     alpha: Ordinal
@@ -180,9 +181,7 @@ class Presentation:
     relations: Mapping
     equality: OrdinalAutomaton | None = None
 
-    _policy: gc.CapPolicy | None = field(default=None, repr=False, compare=False)
-    _atom_nfas: dict = field(default_factory=dict, repr=False, compare=False)
-    _domain_nfas: dict = field(default_factory=dict, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         base = self.base_alphabet
@@ -208,18 +207,24 @@ class Presentation:
         return {name: arity for name, (arity, _) in self.relations.items()}
 
     def policy(self) -> gc.CapPolicy:
-        if self._policy is None:
+        policy = self._memo.get("policy")
+        if policy is None:
             working = [self.domain]
             working += [aut for _, aut in self.relations.values()]
             working.append(self.equality_automaton)
-            self._policy = gc.cap_policy(working, self.alpha)
-        return self._policy
+            policy = self._memo["policy"] = gc.cap_policy(working, self.alpha)
+        return policy
 
     @property
     def equality_automaton(self) -> OrdinalAutomaton:
         if self.equality is not None:
             return self.equality
-        return au.equality_automaton(self.base_alphabet)
+        # one machine, so its run analysis is shared by every eq atom
+        letterwise = self._memo.get("equality")
+        if letterwise is None:
+            letterwise = au.equality_automaton(self.base_alphabet)
+            self._memo["equality"] = letterwise
+        return letterwise
 
 
 def presentation_to_dict(pres: Presentation) -> dict:
@@ -278,10 +283,10 @@ def load_presentation(path: str) -> Presentation:
 
 def _atom_nfa(pres: Presentation, key: tuple, aut: OrdinalAutomaton,
               n: int, coords: tuple[int, ...]) -> gc.GapNFA:
-    cached = pres._atom_nfas.get((key, n, coords))
+    cached = pres._memo.get(("atom", key, n, coords))
     if cached is None:
         cached = gc.to_gap_nfa(au.reindex(aut, n, coords), pres.policy())
-        pres._atom_nfas[(key, n, coords)] = cached
+        pres._memo[("atom", key, n, coords)] = cached
     return cached
 
 
@@ -291,12 +296,12 @@ def _domain_nfa(pres: Presentation, n: int, track: int) -> gc.GapNFA:
 
 
 def _domain_product(pres: Presentation, n: int) -> gc.GapNFA:
-    cached = pres._domain_nfas.get(n)
+    cached = pres._memo.get(("domain", n))
     if cached is None:
         cached = _domain_nfa(pres, n, 0)
         for track in range(1, n):
             cached = gc.nfa_product(cached, _domain_nfa(pres, n, track))
-        pres._domain_nfas[n] = cached
+        pres._memo[("domain", n)] = cached
     return cached
 
 

@@ -1,12 +1,21 @@
 """Run analysis: who can reach whom across transfinite stretches.
 
+A *relation* is a tuple of row bitmasks over the automaton's states,
+numbered 0..n-1 in ``sorted(states, key=repr)`` order: bit p of row q
+is set when some run leads from q to p.  Composition ORs rows
+(bit-parallel boolean matrix product), and a one-row relation is a
+set of states pushed forward through the word.  Each automaton is
+compiled once into this form: one relation per symbol for successor
+steps, and a limit table keyed by the mask of the cofinally visited
+states.
+
 The core object is the *profile* of a symbol power sigma^(w^k): the set
 of triples (q, A, p) such that some run starting in q ends in p after
 w^k copies of sigma, visiting exactly the states A along the way
-(start included, end excluded).  Level 0 is the one-step relation;
-level k+1 arises from lassos over level-k triples: a finite approach
-path followed by a cycle whose visited sets unite to exactly the left
-set of some limit transition.
+(start included, end excluded; A is a mask).  Level 0 is the one-step
+relation; level k+1 arises from lassos over level-k triples: a finite
+approach path followed by a cycle whose visited sets unite to exactly
+the left set of some limit transition.
 
 Visited sets are what make levels composable; most callers only need
 the endpoint *relation*, and relations over finite state sets have
@@ -15,21 +24,21 @@ across arbitrary ordinal gaps a finite computation.
 
 Both sequences -- profile levels as k grows, relation powers as c
 grows -- are served by one lazily extended :class:`Periodic`.  The
-sequences for an automaton are kept in that automaton's private memo,
-so they are computed once per machine and freed with it; this module
-holds no mutable state of its own.
+compiled form and the sequences for an automaton are kept in that
+automaton's private memo, so they are computed once per machine and
+freed with it; this module holds no mutable state of its own.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .automata import OrdinalAutomaton
 from .ordinals import ONE, ZERO, Ordinal, add, interval_type, omega_power
 from .words import AlphaWord, Symbol
 
-Relation = frozenset  # of (state, state) pairs
+Relation = tuple  # of int rows: bit p of row q is set when q reaches p
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -42,55 +51,69 @@ MAX_POWER_STEPS = 1 << 14
 
 
 class Profile(NamedTuple):
-    start: object
-    visited: frozenset
-    end: object
+    start: int
+    visited: int
+    end: int
 
 
 # -- relation algebra ------------------------------------------------------
 
 
-def identity_relation(states: Iterable) -> Relation:
-    return frozenset((q, q) for q in states)
+def bits(mask: int) -> Iterator[int]:
+    """The states in ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def image(states: int, rel: Relation) -> int:
+    """The states ``rel`` reaches from the set ``states``."""
+    out = 0
+    while states:
+        low = states & -states
+        out |= rel[low.bit_length() - 1]
+        states ^= low
+    return out
+
+
+def identity_relation(n: int) -> Relation:
+    return tuple(1 << q for q in range(n))
 
 
 def compose(first: Relation, second: Relation) -> Relation:
-    by_src: dict = {}
-    for a, b in second:
-        by_src.setdefault(a, []).append(b)
-    return frozenset((a, c) for a, b in first for c in by_src.get(b, ()))
+    return tuple(image(row, second) for row in first)
 
 
-# -- strongly connected components (plain mutual-reachability quotient) ----
+class Compiled(NamedTuple):
+    """An automaton over its numbered states."""
+
+    rows: dict  # symbol -> relation of one successor step
+    limit: dict  # mask of the cofinally visited states -> mask of targets
+    initial: int
+    final: int
 
 
-def _sccs(nodes: set, arcs: set) -> list[set]:
-    fwd: dict = {n: set() for n in nodes}
-    for a, b in arcs:
-        fwd[a].add(b)
-    reach: dict = {}
-    for n in nodes:
-        seen = {n}
-        stack = [n]
-        while stack:
-            x = stack.pop()
-            for y in fwd[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        reach[n] = seen
-    comps: list[set] = []
-    assigned: set = set()
-    for n in nodes:
-        if n in assigned:
-            continue
-        comp = {m for m in reach[n] if n in reach[m]}
-        comps.append(comp)
-        assigned |= comp
-    return comps
+def compiled(aut: OrdinalAutomaton) -> Compiled:
+    """The automaton's tables as masks, built once per automaton."""
+    comp = aut._memo.get("compiled")
+    if comp is None:
+        bit = {q: 1 << i for i, q in enumerate(sorted(aut.states, key=repr))}
+
+        def mask(states) -> int:
+            return sum(bit[q] for q in states)
+
+        rows = {s: tuple(mask(aut.step(q, s)) for q in bit) for s in aut.alphabet.symbols}
+        limit = {mask(left): mask(targets) for left, targets in aut.limit.items()}
+        comp = Compiled(rows, limit, mask(aut.initial), mask(aut.final))
+        aut._memo["compiled"] = comp
+    return comp
 
 
-def _cycle_anchors(triples: frozenset, left: frozenset) -> set:
+# -- profile levels ----------------------------------------------------------
+
+
+def _cycle_anchors(triples: frozenset, left: int, n: int) -> int:
     """States admitting a nonempty cycle of triples with visited sets
     inside ``left`` whose union is exactly ``left``.
 
@@ -100,29 +123,34 @@ def _cycle_anchors(triples: frozenset, left: frozenset) -> set:
     subsets between a single edge label and the whole component's
     label union.
     """
-    sub = [t for t in triples if t.visited <= left]
-    nodes = {x for t in sub for x in (t.start, t.end)}
-    arcs = {(t.start, t.end) for t in sub}
-    anchors: set = set()
-    for comp in _sccs(nodes, arcs):
-        internal = [t for t in sub if t.start in comp and t.end in comp]
-        if len(comp) == 1:
-            internal = [t for t in internal if t.start == t.end]
-        if not internal:
-            continue
-        union = frozenset().union(*(t.visited for t in internal))
-        if union == left:
-            anchors |= comp
+    sub = [t for t in triples if t.visited | left == left]
+    reach = [0] * n
+    for t in sub:
+        reach[t.start] |= 1 << t.end
+    for k in range(n):  # Warshall: row i becomes every state i reaches
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    anchors = 0
+    for u in range(n):
+        comp = sum(1 << v for v in bits(reach[u]) if reach[v] >> u & 1)
+        union = 0
+        for t in sub:
+            if comp >> t.start & 1 and comp >> t.end & 1:
+                union |= t.visited
+        if comp and union == left:
+            anchors |= 1 << u
     return anchors
 
 
-def _path_unions(triples: frozenset, target) -> set:
-    """All (q, U): a (possibly empty) chain of triples q -> target with
-    visited-union U.  Backward search over (state, union) pairs."""
+def _path_unions(triples: frozenset, targets: int) -> set:
+    """All (q, U): a (possibly empty) chain of triples from q to one of
+    ``targets`` with visited-union U.  Backward search over (state,
+    union) pairs."""
     incoming: dict = {}
     for t in triples:
         incoming.setdefault(t.end, []).append(t)
-    seen = {(target, frozenset())}
+    seen = {(u, 0) for u in bits(targets)}
     queue: deque = deque(seen)
     while queue:
         x, acc = queue.popleft()
@@ -139,14 +167,13 @@ def _path_unions(triples: frozenset, target) -> set:
     return seen
 
 
-def _next_profile(limit: dict, prev: frozenset) -> frozenset:
+def _next_profile(limit: dict, prev: frozenset, n: int) -> frozenset:
     out: set = set()
     for left, targets in limit.items():
-        anchors = _cycle_anchors(prev, left)
-        for u in anchors:
-            for q, acc in _path_unions(prev, u):
-                visited = acc | left
-                out.update(Profile(q, visited, p) for p in targets)
+        anchors = _cycle_anchors(prev, left, n)
+        if anchors:
+            for q, acc in _path_unions(prev, anchors):
+                out.update(Profile(q, acc | left, p) for p in bits(targets))
     return frozenset(out)
 
 
@@ -217,16 +244,17 @@ def profile(aut: OrdinalAutomaton, sym: Symbol, k: int) -> frozenset:
         raise ValueError("profile level must be >= 0")
     levels = aut._memo.get(("profile", sym))
     if levels is None:
+        comp = compiled(aut)
         first = frozenset(
-            Profile(q, frozenset({q}), p)
-            for q in aut.states
-            for p in aut.step(q, sym)
+            Profile(q, 1 << q, p)
+            for q, row in enumerate(comp.rows[sym])
+            for p in bits(row)
         )
         # The step holds the limit table, not the automaton: a memo entry
         # that referred back to its automaton would keep it alive until a
         # cycle collection.
-        limit = aut.limit
-        levels = Periodic(first, lambda prev: _next_profile(limit, prev),
+        limit, n = comp.limit, len(aut.states)
+        levels = Periodic(first, lambda prev: _next_profile(limit, prev, n),
                           MAX_PROFILE_LEVELS, "profile levels")
         aut._memo[("profile", sym)] = levels
     return levels[k]
@@ -236,8 +264,10 @@ def _powers(aut: OrdinalAutomaton, sym: Symbol, k: int) -> Periodic:
     """Powers of the endpoint relation of sigma^(w^k), kept per automaton."""
     powers = aut._memo.get(("powers", sym, k))
     if powers is None:
-        rel = frozenset((t.start, t.end) for t in profile(aut, sym, k))
-        powers = _power_sequence(rel)
+        rows = [0] * len(aut.states)
+        for t in profile(aut, sym, k):
+            rows[t.start] |= 1 << t.end
+        powers = _power_sequence(tuple(rows))
         aut._memo[("powers", sym, k)] = powers
     return powers
 
@@ -263,7 +293,7 @@ def power_cycle(aut: OrdinalAutomaton, sym: Symbol, k: int) -> tuple[int, int]:
     """
     powers = _powers(aut, sym, k)
     lam, pi = powers.shape()
-    at = powers.position(identity_relation(aut.states))
+    at = powers.position(identity_relation(len(aut.states)))
     if at is not None:
         return 0, at + 1
     return lam + 1, pi
@@ -278,7 +308,7 @@ def const_reach(aut: OrdinalAutomaton, sym: Symbol, gap: Ordinal) -> Relation:
     Composes the per-exponent relations highest term first, mirroring
     left-to-right reading order of the Cantor normal form.
     """
-    rel = identity_relation(aut.states)
+    rel = identity_relation(len(aut.states))
     for k in range(gap.degree, -1, -1):
         c = gap.coefficient(k)
         if c == 0:
@@ -287,8 +317,8 @@ def const_reach(aut: OrdinalAutomaton, sym: Symbol, gap: Ordinal) -> Relation:
     return rel
 
 
-def run_relation(aut: OrdinalAutomaton, w: AlphaWord) -> Relation:
-    """Pairs (q, p) joined by a run over the whole word.
+def _walk(aut: OrdinalAutomaton, w: AlphaWord, rel: Relation) -> Relation:
+    """``rel`` followed by a run over the whole word.
 
     The word splits at its support into blank stretches and single
     letters; every limit position falls inside one of the stretches,
@@ -297,13 +327,13 @@ def run_relation(aut: OrdinalAutomaton, w: AlphaWord) -> Relation:
     if w.alphabet != aut.alphabet:
         raise ValueError("run_relation: alphabet mismatch")
     blank = aut.alphabet.blank
-    rel = identity_relation(aut.states)
+    rows = compiled(aut).rows
     cursor = ZERO
     for pos, sym in w.entries:
         gap = interval_type(cursor, pos)
         if not gap.is_zero:
             rel = compose(rel, const_reach(aut, blank, gap))
-        rel = compose(rel, reach_power(aut, sym, 0))
+        rel = compose(rel, rows[sym])
         cursor = add(pos, ONE)
     tail = interval_type(cursor, w.length)
     if not tail.is_zero:
@@ -311,12 +341,20 @@ def run_relation(aut: OrdinalAutomaton, w: AlphaWord) -> Relation:
     return rel
 
 
+def run_relation(aut: OrdinalAutomaton, w: AlphaWord) -> Relation:
+    """The relation of runs over the whole word."""
+    return _walk(aut, w, identity_relation(len(aut.states)))
+
+
+def accepts(aut: OrdinalAutomaton, rel: Relation) -> bool:
+    """Does the one-row relation ``rel``, a set of states pushed forward
+    from the initial ones, hold a final state?"""
+    return bool(rel[0] & compiled(aut).final)
+
+
 def member(aut: OrdinalAutomaton, w: AlphaWord) -> bool:
     """Does the automaton accept the word?"""
-    if w.length.is_zero:
-        return bool(aut.initial & aut.final)
-    rel = run_relation(aut, w)
-    return any(q in aut.initial and p in aut.final for q, p in rel)
+    return accepts(aut, _walk(aut, w, (compiled(aut).initial,)))
 
 
 def saturation_holds(aut: OrdinalAutomaton, sym: Symbol, m: int, c) -> bool:
@@ -326,10 +364,6 @@ def saturation_holds(aut: OrdinalAutomaton, sym: Symbol, m: int, c) -> bool:
     against sigma^(w^(m+1)).  True for every c once m reaches the
     number of states.
     """
-    base = const_reach(aut, sym, omega_power(m))
-    if c == "omega":
-        other = const_reach(aut, sym, omega_power(m + 1))
-    else:
-        other = const_reach(aut, sym, omega_power(m, c))
-    return base == other
+    other = omega_power(m + 1) if c == "omega" else omega_power(m, c)
+    return const_reach(aut, sym, omega_power(m)) == const_reach(aut, sym, other)
 

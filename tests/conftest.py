@@ -38,7 +38,7 @@ def random_automaton(rng, max_states=4, alpha_bet=AB, limit_density=0.5):
     states = [f"q{i}" for i in range(n)]
     succ = {}
     for q in states:
-        for sym in alpha_bet.symbols:
+        for sym in sorted(alpha_bet.symbols, key=repr):
             k = rng.randint(0, n)
             if k:
                 succ[(q, sym)] = set(rng.sample(states, k))

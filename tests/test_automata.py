@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -152,3 +156,26 @@ def test_from_dict_rejects_malformed_input():
     broken["succ"] = [["s", "a"]]
     with pytest.raises(AutomatonError):
         automaton_from_dict(broken)
+
+
+def test_seeded_random_automata_do_not_depend_on_the_hash_seed():
+    # the rng fixture promises the same automata in every process
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = (
+        "import json, random\n"
+        "from conftest import AB, random_automaton\n"
+        "from ordinalia.automata import automaton_to_dict\n"
+        "from ordinalia.words import product_alphabet\n"
+        "rng = random.Random(7)\n"
+        "alphabets = (AB, product_alphabet(AB, 2))\n"
+        "auts = [random_automaton(rng, alpha_bet=ab) for ab in alphabets]\n"
+        "print(json.dumps([automaton_to_dict(a) for a in auts]))\n"
+    )
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    outs = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.add(done.stdout)
+    assert len(outs) == 1

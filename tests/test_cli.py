@@ -313,6 +313,23 @@ def test_error_exits_write_an_error_report(argv, code, kind, message, tmp_path, 
 # ---------------------------------------------------------------- usage
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["umset", "-X", "w", "-m", "-1", "-d", "w^2"],
+     "radius and rounds must be >= 0, got -1 and 1"),
+    (["umset", "-X", "w", "-m", "1", "--rounds", "-1", "-d", "w^2"],
+     "radius and rounds must be >= 0, got 1 and -1"),
+    (["growth", "--stages", "-1"], "growth probe needs stages >= 0, got -1"),
+    (["growth", "--rado", "-1"], "bit-graph probe needs n >= 0, got -1"),
+    (["growth", "--squaring", "-2"], "squaring probe needs support >= 0, got -2"),
+], ids=["radius", "rounds", "stages", "rado", "squaring"])
+def test_negative_sizes_are_usage_errors(argv, message, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--json-out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    error = {"exit": 2, "type": "GrowthError", "message": message}
+    assert json.loads(out.read_text())["error"] == error
+
+
 def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -138,9 +138,9 @@ def test_factoring_random_sample(rng):
 def test_shape_language_constrains_alternation():
     _, pol = fixture_policy()
     # One state accepting every symbol sequence: only the shape can reject.
-    delta = {(0, ("gap", cls)): {0} for cls in pol.all_classes()}
-    delta.update(((0, ("let", s)), {0}) for s in AB.letters())
-    anything = GapNFA(pol, AB, frozenset({0}), frozenset({0}), frozenset({0}), delta)
+    delta = {("gap", cls): (1,) for cls in pol.all_classes()}
+    delta.update((("let", s), (1,)) for s in AB.letters())
+    anything = GapNFA(pol, AB, 1, 1, 1, delta)
     good = abstract_word(encode_gaps(make_word(W2, [(from_int(3), "a")], AB)), pol)
     assert accepts_abstract(anything, good)
     # Two letters in a row is not a shape any encoding produces.
@@ -295,5 +295,6 @@ def test_determinize_yields_unique_runs(rng):
     aut = random_automaton(rng, max_states=3)
     pol = cap_policy([aut], W2)
     dfa = determinize(to_gap_nfa(aut, pol, W2))
-    for (q, sym), targets in dfa.delta.items():
-        assert len(targets) == 1
+    for rows in dfa.delta.values():
+        for row in rows:
+            assert row and row & (row - 1) == 0  # exactly one successor

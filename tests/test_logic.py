@@ -93,6 +93,12 @@ def test_equality_is_reflexive_and_nothing_differs_from_itself(pres):
     assert not decide(parse_formula("(exists x (not (= x x)))", SIG), pres)
 
 
+def test_letterwise_equality_is_one_machine(pres):
+    # every eq atom then shares the run analysis done for the cap policy
+    assert pres.equality is None
+    assert pres.equality_automaton is pres.equality_automaton
+
+
 def test_decide_handles_boolean_sentence_structure(pres):
     t = "(exists x (Plus x x x))"
     f = "(forall x (Plus x x x))"

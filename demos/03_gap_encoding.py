@@ -10,15 +10,13 @@ from ordinalia.gapcode import (
     abstract_word,
     cap_policy,
     complement,
-    decode_gaps,
     emptiness_witness,
-    encode_gaps,
     nfa_product,
     to_gap_nfa,
 )
 from ordinalia.ordinals import from_int, parse_ordinal
 from ordinalia.semantics import member
-from ordinalia.words import alphabet, make_word
+from ordinalia.words import alphabet, gaps, make_word
 
 AB = alphabet(["a", "b"], blank="_")
 W2 = parse_ordinal("w^2")
@@ -26,10 +24,9 @@ W2 = parse_ordinal("w^2")
 # -- the encoding itself ------------------------------------------------------
 
 v = make_word(W2, [(from_int(3), "a"), (parse_ordinal("w*2+1"), "b")], AB)
-gw = encode_gaps(v)
 print("word          :", v)
-print("letters       :", gw.letters)
-print("gap lengths   :", [str(g) for g in gw.gaps])
+print("letters       :", tuple(sym for _, sym in v.entries))
+print("gap lengths   :", [str(g) for g in gaps(v)])
 # one more gap than letters, and the gaps + single steps re-sum to w^2
 
 # -- capping: finitely many gap classes suffice for a fixed automaton ---------
@@ -55,7 +52,7 @@ print()
 print("cap thresholds:", [str(t) for t in pol.thresholds])
 print("class of 5    :", pol.class_of(from_int(5)))
 print("class of w*7  :", pol.class_of(parse_ordinal("w*7")))
-print("abstracted    :", abstract_word(gw, pol))
+print("abstracted    :", abstract_word(v, pol))
 
 # -- factoring: the finite NFA decides the transfinite language ---------------
 
@@ -75,6 +72,6 @@ both = nfa_product(nfa, no_a)  # a word with and without an a: empty
 print()
 print("L and not L is empty:", emptiness_witness(both) is None)
 
-found = decode_gaps(emptiness_witness(no_a), AB)
+found = emptiness_witness(no_a)
 print("witness without a   :", found)
 print("  really rejected   :", not member(contains_a, found))

@@ -213,9 +213,11 @@ def automaton_from_dict(data: dict) -> OrdinalAutomaton:
         raise AutomatonError("automaton JSON: symbols differ in track count")
     arity = arities.pop()
     if arity is not None:
-        base_syms = frozenset(c for s in symbols for c in s)
-        base = Alphabet(base_syms, blank[0])
-        alpha_bet = Alphabet(symbols, blank, base=base, arity=arity)
+        base = Alphabet(frozenset(c for s in symbols for c in s), blank[0])
+        alpha_bet = product_alphabet(base, arity)
+        if alpha_bet.symbols != symbols or alpha_bet.blank != blank:
+            raise AutomatonError("automaton JSON: a tuple alphabet must be the full "
+                                 "product of its track symbols, all-blank tuple as blank")
     else:
         alpha_bet = Alphabet(symbols, blank)
     succ: dict = {}

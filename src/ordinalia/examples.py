@@ -49,12 +49,12 @@ from .words import (
     AlphaWord,
     Symbol,
     WordError,
-    _symbol_rank,
     alphabet,
     blank_word,
     convolve,
     make_word,
     product_alphabet,
+    symbol_rank,
 )
 
 AB = alphabet({"a", "b"})
@@ -72,7 +72,7 @@ def compare_words(x: AlphaWord, y: AlphaWord) -> int:
     if not diffs:
         return 0
     top = max(diffs)
-    rank = _symbol_rank(x.alphabet)
+    rank = symbol_rank(x.alphabet)
     return -1 if rank[x.at(top)] < rank[y.at(top)] else 1
 
 
@@ -84,7 +84,7 @@ def wellorder_automaton(base: Alphabet) -> OrdinalAutomaton:
     every limit, so only singleton limit sets occur.
     """
     pair = product_alphabet(base, 2)
-    rank = _symbol_rank(base)
+    rank = symbol_rank(base)
     states = {"EQ", "LT", "GT"}
     succ: dict = {}
     for s, t in itertools.product(sorted(base.symbols, key=repr), repeat=2):
@@ -243,14 +243,10 @@ def accepted_count(
 
     def walk(k: int, cursor: Ordinal, rel) -> int:
         if k == len(positions):
-            gap = interval_type(cursor, length)
-            final_rel = (
-                rel if gap.is_zero else compose(rel, const_reach(aut, blank, gap))
-            )
-            return 1 if accepts(aut, final_rel) else 0
+            tail = const_reach(aut, blank, interval_type(cursor, length))
+            return 1 if accepts(aut, compose(rel, tail)) else 0
         pos = positions[k]
-        gap = interval_type(cursor, pos)
-        at_pos = rel if gap.is_zero else compose(rel, const_reach(aut, blank, gap))
+        at_pos = compose(rel, const_reach(aut, blank, interval_type(cursor, pos)))
         count = walk(k + 1, cursor, rel)  # leave this position blank
         nxt = add(pos, ONE)
         for s in letters:

@@ -1,11 +1,11 @@
 """Finite encodings of transfinite words, and a classical NFA layer.
 
-A word of ordinal length with finite support is determined by the
-sequence of its letters together with the order types of the blank
-stretches between them — its *gap word*.  Gap words are plain finite
-sequences, so once the (infinitely many) possible gap ordinals are
-bucketed into finitely many classes that every working automaton is
-blind to, all of classical automata theory applies: products, subset
+A word of ordinal length with finite support is determined by its
+letters and the order types of the blank stretches between them
+(:func:`~ordinalia.words.gaps`).  Once the gap ordinals are bucketed into
+finitely many classes that every working automaton is blind to, the
+word's *shadow* (gap classes alternating with letters) is a plain finite
+word, so all of classical automata theory applies: products, subset
 construction, complement, projection, emptiness with witnesses.
 
 The bucketing is a :class:`CapPolicy`: per ω-exponent, coefficients are
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import OrdinalAutomaton
-from .ordinals import ONE, ZERO, Ordinal, add, interval_type
+from .ordinals import ONE, Ordinal
 from .semantics import (
     ResourceLimitExceeded,
     bits,
@@ -33,7 +33,15 @@ from .semantics import (
     image,
     power_cycle,
 )
-from .words import Alphabet, AlphaWord, Symbol, make_word, product_alphabet
+from .words import (
+    Alphabet,
+    AlphaWord,
+    Symbol,
+    WordError,
+    from_gaps,
+    gaps,
+    product_alphabet,
+)
 
 MAX_DFA_STATES = 1 << 16
 MAX_MERGE_PAIRS = 1 << 18
@@ -42,61 +50,6 @@ MAX_ABSTRACT_SYMBOLS = 1 << 16
 
 class GapError(ValueError):
     pass
-
-
-# -- gap words ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GapWord:
-    """Alternating encoding g0, a1, g1, ..., an, gn of a finite-support word.
-
-    ``gaps`` are the order types of the n+1 maximal blank stretches
-    (possibly 0), ``letters`` the n non-blank symbols in position
-    order.  Sum law: g0 + 1 + g1 + ... + 1 + gn = length, evaluated
-    left to right.
-    """
-
-    length: Ordinal
-    gaps: tuple
-    letters: tuple
-
-    def __post_init__(self) -> None:
-        gaps = tuple(self.gaps)
-        letters = tuple(self.letters)
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "letters", letters)
-        if len(gaps) != len(letters) + 1:
-            raise GapError("need exactly one more gap than letters")
-        total = gaps[0]
-        for g in gaps[1:]:
-            total = add(add(total, ONE), g)
-        if total != self.length:
-            raise GapError(f"gaps sum to {total}, expected {self.length}")
-
-
-def encode_gaps(w: AlphaWord) -> GapWord:
-    gaps: list[Ordinal] = []
-    letters: list[Symbol] = []
-    cursor = ZERO
-    for pos, sym in w.entries:
-        gaps.append(interval_type(cursor, pos))
-        letters.append(sym)
-        cursor = add(pos, ONE)
-    gaps.append(interval_type(cursor, w.length))
-    return GapWord(w.length, tuple(gaps), tuple(letters))
-
-
-def decode_gaps(gw: GapWord, alpha_bet: Alphabet) -> AlphaWord:
-    entries: list[tuple[Ordinal, Symbol]] = []
-    cursor = ZERO
-    for g, sym in zip(gw.gaps, gw.letters):
-        cursor = add(cursor, g)
-        if sym == alpha_bet.blank:
-            raise GapError("gap-word letters must be non-blank")
-        entries.append((cursor, sym))
-        cursor = add(cursor, ONE)
-    return make_word(gw.length, entries, alpha_bet)
 
 
 # -- cap policies ------------------------------------------------------------
@@ -255,13 +208,12 @@ class GapNFA:
         return self.policy.class_count() + len(self.alphabet.letters())
 
 
-def abstract_word(gw: GapWord, policy: CapPolicy) -> tuple:
-    """The finite class-level shadow of a gap word."""
-    out: list[tuple] = [("gap", policy.class_of(gw.gaps[0]))]
-    for sym, g in zip(gw.letters, gw.gaps[1:]):
-        out.append(("let", sym))
-        out.append(("gap", policy.class_of(g)))
-    return tuple(out)
+def abstract_word(w: AlphaWord, policy: CapPolicy) -> tuple:
+    """The finite class-level shadow of a word: the classes of its gaps,
+    with its letters in between."""
+    classes = [("gap", policy.class_of(g)) for g in gaps(w)]
+    letters = [("let", sym) for _, sym in w.entries]
+    return tuple(itertools.chain(*zip(classes, letters), classes[-1:]))
 
 
 def _shape(policy: CapPolicy):
@@ -303,7 +255,7 @@ def accepts_abstract(nfa: GapNFA, gsyms: Sequence[tuple]) -> bool:
 
 def accepts_word(nfa: GapNFA, w: AlphaWord) -> bool:
     """Convenience: abstract acceptance of a concrete word."""
-    return accepts_abstract(nfa, abstract_word(encode_gaps(w), nfa.policy))
+    return accepts_abstract(nfa, abstract_word(w, nfa.policy))
 
 
 def _check_coverage(aut: OrdinalAutomaton, policy: CapPolicy) -> None:
@@ -329,8 +281,8 @@ def to_gap_nfa(
     transitions given by the blank-stretch reachability relations of
     class representatives, and letter transitions straight from the
     compiled successor rows.  Read through the shape, abstract
-    acceptance is equivalent to membership: member(aut, w) iff the
-    shadow of encode_gaps(w) is accepted.
+    acceptance is equivalent to membership: member(aut, w) iff
+    abstract_word(w, policy) is accepted.
     """
     if alpha is not None and alpha != policy.alpha:
         raise GapError(f"alpha {alpha} does not match policy alpha {policy.alpha}")
@@ -525,8 +477,9 @@ def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
     return trim(GapNFA(policy, narrow, n, nfa.initial, nfa.final, delta))
 
 
-def emptiness_witness(nfa: GapNFA) -> GapWord | None:
-    """The least accepted shape-valid abstract word, concretized, or None.
+def emptiness_witness(nfa: GapNFA) -> AlphaWord | None:
+    """A word of length alpha whose shadow is the least accepted
+    shape-valid abstract word, or None when there is none.
 
     Breadth-first over sets of (state, shape state) pairs that share
     one word, trying symbols in ``repr`` order; a pair joins only the
@@ -534,7 +487,7 @@ def emptiness_witness(nfa: GapNFA) -> GapWord | None:
     length-lexicographic order of their words, so the first set that
     accepts holds the least accepted word and witnesses are
     deterministic.  Gaps take their minimal class representatives, and
-    the reassembled word is re-checked to sum to exactly alpha.
+    ``from_gaps`` re-checks that they sum to exactly alpha.
     """
     policy = nfa.policy
     start, accept, step = _shape(policy)
@@ -551,15 +504,15 @@ def emptiness_witness(nfa: GapNFA) -> GapWord | None:
                 continue
             seen[nxt] = seen.get(nxt, 0) | fresh
             if nxt == accept and fresh & nfa.final:
-                return _concretize(word + (gs,), policy)
+                return _concretize(word + (gs,), nfa)
             queue.append((nxt, fresh, word + (gs,)))
     return None
 
 
-def _concretize(gsyms: Sequence[tuple], policy: CapPolicy) -> GapWord:
-    gaps = tuple(policy.representative(gs[1]) for gs in gsyms[0::2])
-    letters = tuple(gs[1] for gs in gsyms[1::2])
+def _concretize(gsyms: Sequence[tuple], nfa: GapNFA) -> AlphaWord:
+    stretches = [nfa.policy.representative(gs[1]) for gs in gsyms[0::2]]
+    letters = [gs[1] for gs in gsyms[1::2]]
     try:
-        return GapWord(policy.alpha, gaps, letters)
-    except GapError as exc:
+        return from_gaps(nfa.policy.alpha, stretches, letters, nfa.alphabet)
+    except WordError as exc:
         raise GapError(f"concretization failed, cap policy unsound: {exc}") from exc

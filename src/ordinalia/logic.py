@@ -25,7 +25,7 @@ from . import gapcode as gc
 from .automata import OrdinalAutomaton
 from .ordinals import Ordinal, format_ordinal, parse_ordinal
 from .semantics import member
-from .words import Alphabet, component, convolve
+from .words import Alphabet, AlphaWord, component, convolve
 
 CONNECTIVES = {"and", "or", "not", "->"}
 QUANTIFIERS = {"forall", "exists"}
@@ -305,6 +305,13 @@ def _domain_product(pres: Presentation, n: int) -> gc.GapNFA:
     return cached
 
 
+def _domain_word(pres: Presentation) -> AlphaWord | None:
+    """The least word of the domain, or None when the domain is empty."""
+    if "domain_word" not in pres._memo:
+        pres._memo["domain_word"] = gc.emptiness_witness(_domain_product(pres, 1))
+    return pres._memo["domain_word"]
+
+
 def _compile(f: Formula, pres: Presentation, ambient: tuple[str, ...]) -> gc.GapNFA:
     n = len(ambient)
     if f.kind == "atom":
@@ -385,8 +392,7 @@ def decide(f: Formula, pres: Presentation) -> bool:
     if f.kind == "exists":
         if f.var not in free_variables(f.subs[0]):
             # a vacuous quantifier: the domain is nonempty and the body holds
-            domain = _domain_product(pres, 1)
-            return gc.emptiness_witness(domain) is not None and decide(f.subs[0], pres)
+            return _domain_word(pres) is not None and decide(f.subs[0], pres)
         lang = compile_formula(f.subs[0], pres)
         return gc.emptiness_witness(lang) is not None
     raise LogicError("an atom cannot be a sentence")
@@ -414,10 +420,9 @@ def find_witness(f: Formula, pres: Presentation):
     if not free_variables(matrix):
         raise LogicError("matrix mentions none of the quantified variables")
     lang = compile_formula(matrix, pres)
-    gw = gc.emptiness_witness(lang)
-    if gw is None:
+    word = gc.emptiness_witness(lang)
+    if word is None:
         return None
-    word = gc.decode_gaps(gw, lang.alphabet)
     ambient = tuple(sorted(free_variables(matrix)))
     if len(ambient) == 1:
         assignment = {ambient[0]: word}
@@ -427,11 +432,9 @@ def find_witness(f: Formula, pres: Presentation):
         raise LogicError("witness failed re-verification; compilation bug")
     missing = [v for v in prefix if v not in assignment]
     if missing:
-        domain = _domain_product(pres, 1)
-        dw = gc.emptiness_witness(domain)
-        if dw is None:
+        anything = _domain_word(pres)
+        if anything is None:
             return None
-        anything = gc.decode_gaps(dw, domain.alphabet)
         assignment.update((v, anything) for v in missing)
     if not all(member(pres.domain, w) for w in assignment.values()):
         raise LogicError("witness word outside the domain; compilation bug")

@@ -35,8 +35,8 @@ from collections import deque
 from typing import Iterator, NamedTuple
 
 from .automata import OrdinalAutomaton
-from .ordinals import ONE, ZERO, Ordinal, add, interval_type, omega_power
-from .words import AlphaWord, Symbol
+from .ordinals import Ordinal, omega_power
+from .words import AlphaWord, Symbol, WordError, gaps
 
 Relation = tuple  # of int rows: bit p of row q is set when q reaches p
 
@@ -302,19 +302,22 @@ def power_cycle(aut: OrdinalAutomaton, sym: Symbol, k: int) -> tuple[int, int]:
 # -- reachability across ordinal-length constant stretches ------------------
 
 
-def const_reach(aut: OrdinalAutomaton, sym: Symbol, gap: Ordinal) -> Relation:
-    """Endpoint relation of the constant word sigma^gap.
+def _stretch(aut: OrdinalAutomaton, sym: Symbol, gap: Ordinal, rel: Relation) -> Relation:
+    """``rel`` followed by the constant word sigma^gap.
 
     Composes the per-exponent relations highest term first, mirroring
     left-to-right reading order of the Cantor normal form.
     """
-    rel = identity_relation(len(aut.states))
     for k in range(gap.degree, -1, -1):
         c = gap.coefficient(k)
-        if c == 0:
-            continue
-        rel = compose(rel, _powers(aut, sym, k)[c - 1])
+        if c:
+            rel = compose(rel, _powers(aut, sym, k)[c - 1])
     return rel
+
+
+def const_reach(aut: OrdinalAutomaton, sym: Symbol, gap: Ordinal) -> Relation:
+    """Endpoint relation of the constant word sigma^gap."""
+    return _stretch(aut, sym, gap, identity_relation(len(aut.states)))
 
 
 def _walk(aut: OrdinalAutomaton, w: AlphaWord, rel: Relation) -> Relation:
@@ -325,20 +328,13 @@ def _walk(aut: OrdinalAutomaton, w: AlphaWord, rel: Relation) -> Relation:
     so composing the pieces loses nothing.
     """
     if w.alphabet != aut.alphabet:
-        raise ValueError("run_relation: alphabet mismatch")
+        raise WordError("run_relation: alphabet mismatch")
     blank = aut.alphabet.blank
     rows = compiled(aut).rows
-    cursor = ZERO
-    for pos, sym in w.entries:
-        gap = interval_type(cursor, pos)
-        if not gap.is_zero:
-            rel = compose(rel, const_reach(aut, blank, gap))
-        rel = compose(rel, rows[sym])
-        cursor = add(pos, ONE)
-    tail = interval_type(cursor, w.length)
-    if not tail.is_zero:
-        rel = compose(rel, const_reach(aut, blank, tail))
-    return rel
+    stretches = gaps(w)
+    for (_, sym), gap in zip(w.entries, stretches):
+        rel = compose(_stretch(aut, blank, gap, rel), rows[sym])
+    return _stretch(aut, blank, stretches[-1], rel)
 
 
 def run_relation(aut: OrdinalAutomaton, w: AlphaWord) -> Relation:

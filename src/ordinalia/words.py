@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .ordinals import (
+    ONE,
+    ZERO,
     Ordinal,
     add,
     format_ordinal,
@@ -127,6 +129,31 @@ def sorted_support(w: AlphaWord) -> list[Ordinal]:
     return [p for p, _ in w.entries]
 
 
+def gaps(w: AlphaWord) -> list[Ordinal]:
+    """Order types of the n+1 blank stretches around a word's n entries."""
+    starts = [ZERO] + [add(pos, ONE) for pos, _ in w.entries]
+    ends = [pos for pos, _ in w.entries] + [w.length]
+    return [interval_type(lo, hi) for lo, hi in zip(starts, ends)]
+
+
+def from_gaps(length: Ordinal, stretches: Sequence[Ordinal], letters: Sequence[Symbol],
+              alpha_bet: Alphabet) -> AlphaWord:
+    """The word with blank stretches g0..gn around ``letters``, in order:
+    the inverse of :func:`gaps`.  Needs g0 + 1 + g1 + ... + 1 + gn = length."""
+    if len(stretches) != len(letters) + 1:
+        raise WordError("need exactly one more gap than letters")
+    entries = []
+    cursor = stretches[0]
+    for sym, g in zip(letters, stretches[1:]):
+        if sym == alpha_bet.blank:
+            raise WordError("letters between gaps must be non-blank")
+        entries.append((cursor, sym))
+        cursor = add(add(cursor, ONE), g)
+    if cursor != length:
+        raise WordError(f"gaps sum to {cursor}, expected {length}")
+    return make_word(length, entries, alpha_bet)
+
+
 def restrict(w: AlphaWord, lo: Ordinal, hi: Ordinal) -> AlphaWord:
     """The word w|[lo, hi), re-based at zero via interval types."""
     if lo > hi or hi > w.length:
@@ -172,7 +199,8 @@ def convolve(ws: Sequence[AlphaWord]) -> AlphaWord:
     return AlphaWord(length, prod, entries)
 
 
-def _symbol_rank(base: Alphabet) -> dict:
+def symbol_rank(base: Alphabet) -> dict:
+    """Each symbol's rank in the order of words: the blank is least."""
     order = [base.blank] + base.letters()
     return {s: i for i, s in enumerate(order)}
 
@@ -184,7 +212,7 @@ def word_sort_key(w: AlphaWord):
     Entries listed from the highest position down compare
     lexicographically in exactly largest-difference order.
     """
-    rank = _symbol_rank(w.alphabet)
+    rank = symbol_rank(w.alphabet)
     return tuple((p._key(), rank[s]) for p, s in reversed(w.entries))
 
 

@@ -158,6 +158,17 @@ def test_from_dict_rejects_malformed_input():
         automaton_from_dict(broken)
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda d: {**d, "alphabet": [s for s in d["alphabet"] if s != "a|b"]},
+    lambda d: {**d, "blank": "_|a"},
+], ids=["partial-product", "mixed-blank"])
+def test_from_dict_needs_the_full_product_alphabet(mangle):
+    data = automaton_to_dict(equality_automaton(AB))
+    assert automaton_from_dict(data).alphabet == product_alphabet(AB, 2)
+    with pytest.raises(AutomatonError, match="full product"):
+        automaton_from_dict(mangle(data))
+
+
 def test_seeded_random_automata_do_not_depend_on_the_hash_seed():
     # the rng fixture promises the same automata in every process
     root = pathlib.Path(__file__).resolve().parent.parent

@@ -8,7 +8,7 @@ import pytest
 from ordinalia.automata import automaton_to_dict, equality_automaton, save_automaton
 from ordinalia.cli import main
 from ordinalia.examples import AB, presburger_presentation, wellorder_automaton
-from ordinalia.logic import save_presentation
+from ordinalia.logic import presentation_to_dict, save_presentation
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,39 @@ def test_member_malformed_automaton_json_is_a_usage_error(mangle, tmp_path, caps
     assert main(["member", "-a", str(path), "-w", "len=1; {}"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def _without_symbol(aut: dict, dropped: str) -> dict:
+    """An automaton dict whose tuple alphabet leaves out ``dropped``."""
+    return {**aut, "alphabet": [s for s in aut["alphabet"] if s != dropped],
+            "succ": [e for e in aut["succ"] if e[1] != dropped]}
+
+
+def _assert_usage_error_report(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--json-out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert json.loads(out.read_text())["error"]["exit"] == 2
+
+
+def test_witness_with_a_partial_product_alphabet_is_a_usage_error(tmp_path, capsys):
+    data = presentation_to_dict(presburger_presentation())
+    plus = data["relations"]["Plus"]
+    plus["automaton"] = _without_symbol(plus["automaton"], "_|_|1")
+    path = tmp_path / "p_partial.json"
+    path.write_text(json.dumps(data))
+    argv = ["witness", "-p", str(path), "-f", "(exists x (exists y (Plus x y x)))"]
+    _assert_usage_error_report(argv, tmp_path, capsys)
+
+
+def test_normalize_with_a_partial_product_alphabet_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "eq_partial.json"
+    path.write_text(json.dumps(
+        _without_symbol(automaton_to_dict(equality_automaton(AB)), "a|b")))
+    argv = ["normalize", "-a", str(path), "-w", "len=w*40+1; {w*30+7:a}",
+            "--param", "len=w*40+1; {0:b}"]
+    _assert_usage_error_report(argv, tmp_path, capsys)
 
 
 # ---------------------------------------------------------------- decide

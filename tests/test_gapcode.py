@@ -4,20 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordinalia.automata import make_automaton
 from ordinalia.gapcode import (
     CapPolicy,
     GapError,
     GapNFA,
-    GapWord,
     abstract_word,
     accepts_abstract,
     accepts_word,
     cap_policy,
     complement,
-    decode_gaps,
     determinize,
     emptiness_witness,
-    encode_gaps,
     exists_project,
     nfa_product,
     nfa_union,
@@ -26,7 +24,7 @@ from ordinalia.gapcode import (
 )
 from ordinalia.ordinals import ZERO, Ordinal, add, from_int, parse_ordinal
 from ordinalia.semantics import member
-from ordinalia.words import blank_word, convolve, make_word, product_alphabet, support
+from ordinalia.words import convolve, make_word, product_alphabet
 
 from conftest import AB, random_automaton
 
@@ -35,39 +33,6 @@ W2 = parse_ordinal("w^2")
 gap_positions = st.lists(st.integers(0, 5), min_size=1, max_size=2).map(
     lambda cs: Ordinal(tuple(cs))
 )
-
-
-@st.composite
-def w2_words(draw):
-    entries = draw(
-        st.dictionaries(
-            gap_positions.filter(lambda p: p < W2),
-            st.sampled_from(["a", "b"]),
-            max_size=4,
-        )
-    )
-    return make_word(W2, entries.items(), AB)
-
-
-@given(w2_words())
-def test_gap_encoding_round_trip(w):
-    gw = encode_gaps(w)
-    assert decode_gaps(gw, AB) == w
-    assert len(gw.gaps) == len(gw.letters) + 1
-
-
-@given(w2_words())
-def test_gap_encoding_sum_law(w):
-    gw = encode_gaps(w)
-    total = gw.gaps[0]
-    for g in gw.gaps[1:]:
-        total = add(add(total, from_int(1)), g)
-    assert total == w.length
-
-
-def test_gap_word_validates_the_sum_law():
-    with pytest.raises(GapError):
-        GapWord(W2, (ZERO, ZERO), ("a",))
 
 
 def fixture_policy():
@@ -130,9 +95,24 @@ def test_factoring_random_sample(rng):
         }
         w = make_word(W2, entries.items(), AB)
         assert member(aut, w) == accepts_word(nfa, w)
-        assert accepts_word(nfa, w) == accepts_abstract(
-            nfa, abstract_word(encode_gaps(w), pol)
-        )
+        assert accepts_word(nfa, w) == accepts_abstract(nfa, abstract_word(w, pol))
+
+
+@pytest.mark.parametrize("alpha_text", ["w^3", "w^2*3+w"])
+def test_factoring_at_larger_lengths(alpha_text, rng):
+    alpha = parse_ordinal(alpha_text)
+    for _ in range(30):
+        aut = random_automaton(rng, max_states=3)
+        nfa = to_gap_nfa(aut, cap_policy([aut], alpha))
+        for _ in range(8):
+            entries = {}
+            count = rng.randint(0, 3)
+            while len(entries) < count:
+                p = Ordinal(tuple(rng.randint(0, 4) for _ in range(alpha.degree + 1)))
+                if p < alpha:
+                    entries[p] = rng.choice(["a", "b"])
+            w = make_word(alpha, entries.items(), AB)
+            assert member(aut, w) == accepts_word(nfa, w)
 
 
 def test_shape_language_constrains_alternation():
@@ -141,7 +121,7 @@ def test_shape_language_constrains_alternation():
     delta = {("gap", cls): (1,) for cls in pol.all_classes()}
     delta.update((("let", s), (1,)) for s in AB.letters())
     anything = GapNFA(pol, AB, 1, 1, 1, delta)
-    good = abstract_word(encode_gaps(make_word(W2, [(from_int(3), "a")], AB)), pol)
+    good = abstract_word(make_word(W2, [(from_int(3), "a")], AB), pol)
     assert accepts_abstract(anything, good)
     # Two letters in a row is not a shape any encoding produces.
     assert not accepts_abstract(anything, (good[0], good[1], good[1], good[2]))
@@ -229,11 +209,10 @@ def test_emptiness_witness_round_trips(rng):
         aut = random_automaton(rng, max_states=3)
         pol = cap_policy([aut], W2)
         nfa = to_gap_nfa(aut, pol, W2)
-        gw = emptiness_witness(nfa)
-        if gw is None:
+        w = emptiness_witness(nfa)
+        if w is None:
             continue
         found += 1
-        w = decode_gaps(gw, AB)
         assert w.length == W2
         assert accepts_word(nfa, w)
         assert member(aut, w)
@@ -246,6 +225,18 @@ def test_emptiness_witness_none_for_empty_language():
     nfa = to_gap_nfa(universal, pol, W2)
     empty = nfa_product(nfa, complement(nfa))
     assert emptiness_witness(empty) is None
+
+
+def test_emptiness_witness_rejects_an_unsound_representative(monkeypatch):
+    everything = make_automaton({"q"}, AB, {"q"}, {"q"},
+                                {("q", s): {"q"} for s in AB.symbols},
+                                {frozenset({"q"}): {"q"}})
+    nfa = to_gap_nfa(everything, cap_policy([everything], W2))
+    assert emptiness_witness(nfa) is not None
+    # every gap concretized as 0: the gaps can no longer sum to w^2
+    monkeypatch.setattr(CapPolicy, "representative", lambda self, cls: ZERO)
+    with pytest.raises(GapError, match="cap policy unsound"):
+        emptiness_witness(nfa)
 
 
 def _least_accepted_word(nfa, max_symbols):
@@ -267,12 +258,12 @@ def test_emptiness_witness_is_the_least_accepted_word(rng):
         nfa = to_gap_nfa(aut, pol, W2)
         for lang in (nfa, complement(nfa)):
             least = _least_accepted_word(lang, 5)
-            gw = emptiness_witness(lang)
+            w = emptiness_witness(lang)
             if least is None:
-                assert gw is None or len(gw.gaps) + len(gw.letters) > 5
+                assert w is None or 2 * len(w.entries) + 1 > 5
                 continue
             found += 1
-            assert abstract_word(encode_gaps(decode_gaps(gw, AB)), pol) == least
+            assert abstract_word(w, pol) == least
     assert found >= 10
 
 

@@ -3,7 +3,9 @@
 The order is ordinals < words < automata < semantics < gapcode <
 {logic, growth} < examples < cli.  ``logic`` and ``growth`` share a
 rank, so neither may import the other.  Function-local imports count
-too; ``__init__`` re-exports the public names and is exempt.
+too; ``__init__`` re-exports the public names and is exempt.  A name
+with a leading underscore is private to its module: no relative import
+may name one.
 """
 
 import ast
@@ -24,20 +26,27 @@ RANK = {
 }
 
 
-def relative_imports(path: pathlib.Path):
-    """(target module, line) for every relative import in the file."""
+PACKAGE = pathlib.Path(ordinalia.__file__).parent
+
+
+def relative_import_nodes(path: pathlib.Path):
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and node.level:
-            if node.module:
-                yield node.module.split(".")[0], node.lineno
-            else:
-                for alias in node.names:
-                    yield alias.name, node.lineno
+            yield node
+
+
+def relative_imports(path: pathlib.Path):
+    """(target module, line) for every relative import in the file."""
+    for node in relative_import_nodes(path):
+        if node.module:
+            yield node.module.split(".")[0], node.lineno
+        else:
+            for alias in node.names:
+                yield alias.name, node.lineno
 
 
 def test_imports_point_down_the_layers():
-    package = pathlib.Path(ordinalia.__file__).parent
-    modules = sorted(p for p in package.glob("*.py") if p.stem != "__init__")
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
     assert {p.stem for p in modules} == set(RANK), "every module needs a rank"
     upward = [
         f"{p.stem}:{line} imports {target}"
@@ -46,3 +55,14 @@ def test_imports_point_down_the_layers():
         if RANK[target] >= RANK[p.stem]
     ]
     assert not upward, upward
+
+
+def test_no_private_name_is_imported_across_modules():
+    private = [
+        f"{p.stem}:{node.lineno} imports {alias.name}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for node in relative_import_nodes(p)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, private

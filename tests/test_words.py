@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordinalia.ordinals import OMEGA, ZERO, Ordinal, add, from_int, parse_ordinal
+from ordinalia.ordinals import OMEGA, ONE, ZERO, Ordinal, add, from_int, parse_ordinal
 from ordinalia.words import (
     WordError,
     alphabet,
@@ -11,6 +11,8 @@ from ordinalia.words import (
     concat,
     convolve,
     format_word,
+    from_gaps,
+    gaps,
     make_word,
     parse_word,
     product_alphabet,
@@ -20,6 +22,7 @@ from ordinalia.words import (
 )
 
 AB = alphabet({"a", "b"})
+W2 = parse_ordinal("w^2")
 
 positions = st.lists(st.integers(0, 5), min_size=1, max_size=3).map(
     lambda cs: Ordinal(tuple(cs))
@@ -148,3 +151,37 @@ def test_product_word_literal_round_trip():
     text = format_word(c)
     assert "a|b" in text
     assert parse_word(text, c.alphabet) == c
+
+
+# -- gaps: the blank stretches between letters ---------------------------
+
+
+@pytest.mark.parametrize("length_text", ["w^2", "w^3", "w^2*3+w"])
+@given(data=st.data())
+def test_letter_positions_are_partial_sums_of_gaps(length_text, data):
+    w = data.draw(sparse_words(length_text))
+    stretches = gaps(w)
+    assert len(stretches) == len(w.entries) + 1
+    total = stretches[0]
+    for (pos, _), g in zip(w.entries, stretches[1:]):
+        assert pos == total
+        total = add(add(total, ONE), g)
+    assert total == w.length
+
+
+@pytest.mark.parametrize("length_text", ["w^2", "w^3", "w^2*3+w"])
+@given(data=st.data())
+def test_from_gaps_inverts_gaps(length_text, data):
+    w = data.draw(sparse_words(length_text))
+    letters = [s for _, s in w.entries]
+    assert from_gaps(w.length, gaps(w), letters, AB) == w
+
+
+@pytest.mark.parametrize("stretches, letters, message", [
+    ((from_int(3), W2), ("_",), "non-blank"),
+    ((from_int(3), W2), (), "one more gap"),
+    ((ZERO, ZERO), ("a",), "sum to 1"),
+], ids=["blank-letter", "gap-count", "sum"])
+def test_from_gaps_rejects_bad_input(stretches, letters, message):
+    with pytest.raises(WordError, match=message):
+        from_gaps(W2, stretches, letters, AB)

@@ -56,7 +56,7 @@ print("abstracted    :", abstract_word(v, pol))
 
 # -- factoring: the finite NFA decides the transfinite language ---------------
 
-nfa = to_gap_nfa(contains_a, pol, W2)
+nfa = to_gap_nfa(contains_a, pol)
 print()
 print("finite NFA size:", nfa.size)
 for word in [v, make_word(W2, [(from_int(0), "b")], AB)]:

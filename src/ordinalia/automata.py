@@ -249,4 +249,9 @@ def save_automaton(aut: OrdinalAutomaton, path: str) -> None:
 
 def load_automaton(path: str) -> OrdinalAutomaton:
     with open(path, encoding="utf-8") as fh:
-        return automaton_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            # the schema nests a fixed few levels deep
+            raise AutomatonError(f"automaton JSON: {path} nests too deeply") from None
+    return automaton_from_dict(data)

@@ -29,7 +29,9 @@ from .semantics import (
     ResourceLimitExceeded,
     bits,
     compiled,
+    compose,
     const_reach,
+    identity_relation,
     image,
     power_cycle,
 )
@@ -176,11 +178,13 @@ def cap_policy(working: Iterable[OrdinalAutomaton], alpha: Ordinal) -> CapPolicy
 class GapNFA:
     """Classical NFA over gap classes and non-blank letters.
 
-    States are 0..size-1 and sets of states are bitmasks.  ``delta``
-    maps every abstract symbol to a relation in the sense of
-    :mod:`ordinalia.semantics`: a tuple of ``size`` rows, row q the mask
-    of successors of q.  Its language is read through the shape: the
-    words it stands for are the shape-valid words it accepts.
+    States are 0..size-1 and sets of states are bitmasks.  The keys of
+    ``delta`` are the NFA's alphabet: every gap class of the policy in
+    ``all_classes()`` order, then the letters in ``letters()`` order.
+    Each maps to a relation in the sense of :mod:`ordinalia.semantics`:
+    a tuple of ``size`` rows, row q the mask of successors of q.  Its
+    language is read through the shape: the words it stands for are the
+    shape-valid words it accepts.
     """
 
     policy: CapPolicy
@@ -197,15 +201,6 @@ class GapNFA:
     def step(self, states: int, gsym: tuple) -> int:
         """The states reached from the set ``states`` on one symbol."""
         return image(states, self.delta[gsym])
-
-    def symbols(self) -> Iterator[tuple]:
-        for cls in self.policy.all_classes():
-            yield ("gap", cls)
-        for s in self.alphabet.letters():
-            yield ("let", s)
-
-    def symbol_count(self) -> int:
-        return self.policy.class_count() + len(self.alphabet.letters())
 
 
 def abstract_word(w: AlphaWord, policy: CapPolicy) -> tuple:
@@ -269,11 +264,7 @@ def _check_coverage(aut: OrdinalAutomaton, policy: CapPolicy) -> None:
             )
 
 
-def to_gap_nfa(
-    aut: OrdinalAutomaton,
-    policy: CapPolicy,
-    alpha: Ordinal | None = None,
-) -> GapNFA:
+def to_gap_nfa(aut: OrdinalAutomaton, policy: CapPolicy) -> GapNFA:
     """Factor an ordinal automaton through gap classes.
 
     The result is the skeleton: the automaton's own states, numbered
@@ -283,9 +274,17 @@ def to_gap_nfa(
     compiled successor rows.  Read through the shape, abstract
     acceptance is equivalent to membership: member(aut, w) iff
     abstract_word(w, policy) is accepted.
+
+    This is where every gap NFA's alphabet is made (the other
+    operations keep it or narrow it), so its size is checked here,
+    before any row is built.
     """
-    if alpha is not None and alpha != policy.alpha:
-        raise GapError(f"alpha {alpha} does not match policy alpha {policy.alpha}")
+    size = policy.class_count() + len(aut.alphabet.letters())
+    if size > MAX_ABSTRACT_SYMBOLS:
+        raise ResourceLimitExceeded(
+            f"abstract alphabet has {size} symbols, "
+            f"over MAX_ABSTRACT_SYMBOLS = {MAX_ABSTRACT_SYMBOLS}"
+        )
     _check_coverage(aut, policy)
     blank = aut.alphabet.blank
     comp = compiled(aut)
@@ -327,7 +326,7 @@ def nfa_product(x: GapNFA, y: GapNFA) -> GapNFA:
     for p in bits(x.initial):
         for q in bits(y.initial):
             initial |= _bit(pairs, index, (p, q))
-    rows: dict = {gs: [] for gs in x.symbols()}
+    rows: dict = {gs: [] for gs in x.delta}
     for p, q in pairs:  # grows while it is read: a breadth-first search
         for gs, out in rows.items():
             row = 0
@@ -348,7 +347,7 @@ def nfa_union(x: GapNFA, y: GapNFA) -> GapNFA:
     _compatible(x, y, "nfa_union")
     n = x.size
     delta = {
-        gs: x.delta[gs] + tuple(row << n for row in y.delta[gs]) for gs in x.symbols()
+        gs: rows + tuple(row << n for row in y.delta[gs]) for gs, rows in x.delta.items()
     }
     return GapNFA(x.policy, x.alphabet, n + y.size, x.initial | y.initial << n,
                   x.final | y.final << n, delta)
@@ -387,14 +386,9 @@ def trim(nfa: GapNFA) -> GapNFA:
 def determinize(nfa: GapNFA) -> GapNFA:
     """Total subset-construction DFA; each state is a subset of the NFA's
     states, numbered in the order found, so every row has one bit."""
-    if nfa.symbol_count() > MAX_ABSTRACT_SYMBOLS:
-        raise ResourceLimitExceeded(
-            f"abstract alphabet has {nfa.symbol_count()} symbols, "
-            f"over the {MAX_ABSTRACT_SYMBOLS} limit"
-        )
     subsets = [nfa.initial]
     index = {nfa.initial: 0}
-    rows: dict = {gs: [] for gs in nfa.symbols()}
+    rows: dict = {gs: [] for gs in nfa.delta}
     for cur in subsets:  # grows while it is read: a breadth-first search
         for gs, out in rows.items():
             out.append(_bit(subsets, index, nfa.step(cur, gs)))
@@ -424,7 +418,9 @@ def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
     Letters project componentwise.  A letter whose projection is all
     blank used to occupy a position, so it dissolves into its
     neighboring gaps; the merge g (+1+g')* is carried out in capped
-    class arithmetic by a search over (state, accumulated class).
+    class arithmetic by one search over (accumulated class, relation)
+    pairs, where row q of the relation holds the states source q has
+    reached with that class.
     """
     base = nfa.alphabet.scalar
     r = nfa.alphabet.tracks
@@ -440,39 +436,38 @@ def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
 
     policy = nfa.policy
     one = policy.one_class
-    classes = list(policy.all_classes())
+    classes = [gs[1] for gs in nfa.delta if gs[0] == "gap"]
     n = nfa.size
     letters = {ps: [0] * n for ps in (narrow.blank, *narrow.letters())}
     for s in nfa.alphabet.letters():
         for q, row in enumerate(nfa.delta[("let", s)]):
             letters[proj(s)][q] |= row
     erase = letters.pop(narrow.blank)  # one letter whose projection is blank
-    gaps = {cls: [0] * n for cls in classes}
-    for q in range(n):
-        reached: dict = {}  # merged class -> states
-        pairs = 0
-        queue: deque = deque([(policy.zero_class, 1 << q)])
-        while queue:
-            acc, before = queue.popleft()
-            for cls in classes:
-                total = policy.add_classes(acc, cls)
-                known = reached.get(total, 0)
-                fresh = image(before, nfa.delta[("gap", cls)]) & ~known
-                if not fresh:
-                    continue
-                reached[total] = known | fresh
-                pairs += fresh.bit_count()
-                if pairs > MAX_MERGE_PAIRS:
+    nothing = (0,) * n
+    reached: dict = {}  # merged class -> relation
+    pairs = [0] * n  # (state, class) pairs found, per source state
+    queue: deque = deque([(policy.zero_class, identity_relation(n))])
+    while queue:
+        acc, before = queue.popleft()
+        for cls in classes:
+            total = policy.add_classes(acc, cls)
+            known = reached.get(total, nothing)
+            after = compose(before, nfa.delta[("gap", cls)])
+            fresh = tuple(row & ~old for row, old in zip(after, known))
+            if not any(fresh):
+                continue
+            reached[total] = tuple(row | old for row, old in zip(fresh, known))
+            for q, row in enumerate(fresh):
+                pairs[q] += row.bit_count()
+                if pairs[q] > MAX_MERGE_PAIRS:
                     raise ResourceLimitExceeded(
                         "gap-merge search exceeded "
                         f"{MAX_MERGE_PAIRS} (state, class) pairs"
                     )
-                erased = image(fresh, erase)
-                if erased:
-                    queue.append((policy.add_classes(total, one), erased))
-        for cls, states in reached.items():
-            gaps[cls][q] = states
-    delta = {("gap", cls): tuple(rows) for cls, rows in gaps.items()}
+            erased = compose(fresh, erase)
+            if any(erased):
+                queue.append((policy.add_classes(total, one), erased))
+    delta = {("gap", cls): reached.get(cls, nothing) for cls in classes}
     delta.update((("let", ps), tuple(rows)) for ps, rows in letters.items())
     return trim(GapNFA(policy, narrow, n, nfa.initial, nfa.final, delta))
 
@@ -491,7 +486,7 @@ def emptiness_witness(nfa: GapNFA) -> AlphaWord | None:
     """
     policy = nfa.policy
     start, accept, step = _shape(policy)
-    syms = sorted(nfa.symbols(), key=repr)
+    syms = sorted(nfa.delta, key=repr)
     by_kind = {kind: [gs for gs in syms if gs[0] == kind] for kind in ("gap", "let")}
     seen = {start: nfa.initial}  # shape state -> NFA states met with it
     queue: deque = deque([(start, nfa.initial, ())])

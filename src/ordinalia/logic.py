@@ -24,11 +24,14 @@ from . import automata as au
 from . import gapcode as gc
 from .automata import OrdinalAutomaton
 from .ordinals import Ordinal, format_ordinal, parse_ordinal
-from .semantics import member
+from .semantics import ResourceLimitExceeded, member
 from .words import Alphabet, AlphaWord, component, convolve
 
 CONNECTIVES = {"and", "or", "not", "->"}
 QUANTIFIERS = {"forall", "exists"}
+#: Deepest formula parse_formula accepts; the tree walks that follow
+#: recurse once or twice per level.
+MAX_FORMULA_DEPTH = 200
 
 
 class LogicError(ValueError):
@@ -99,7 +102,11 @@ def parse_formula(text: str, signature: Mapping | None = None) -> Formula:
         pos += 1
         return tok
 
-    def parse_node() -> Formula:
+    def parse_node(depth: int) -> Formula:
+        if depth > MAX_FORMULA_DEPTH:
+            raise ResourceLimitExceeded(
+                f"formula nests deeper than MAX_FORMULA_DEPTH = {MAX_FORMULA_DEPTH}"
+            )
         tok = take()
         if tok != "(":
             raise LogicError(f"expected '(', got {tok!r}")
@@ -108,12 +115,12 @@ def parse_formula(text: str, signature: Mapping | None = None) -> Formula:
             var = take()
             if not _NAME.match(var):
                 raise LogicError(f"bad variable name {var!r}")
-            body = parse_node()
+            body = parse_node(depth + 1)
             node = Formula(head, var=var, subs=(body,))
         elif head == "not":
-            node = Formula("not", subs=(parse_node(),))
+            node = Formula("not", subs=(parse_node(depth + 1),))
         elif head in {"and", "or", "->"}:
-            node = Formula(head, subs=(parse_node(), parse_node()))
+            node = Formula(head, subs=(parse_node(depth + 1), parse_node(depth + 1)))
         elif head == "=":
             x, y = take(), take()
             for v in (x, y):
@@ -134,7 +141,7 @@ def parse_formula(text: str, signature: Mapping | None = None) -> Formula:
             raise LogicError("expected ')'")
         return node
 
-    f = parse_node()
+    f = parse_node(1)
     if pos != len(tokens):
         raise LogicError(f"trailing input after formula: {tokens[pos:]}")
     _check_formula(f, frozenset(), signature)
@@ -275,7 +282,12 @@ def save_presentation(pres: Presentation, path: str) -> None:
 
 def load_presentation(path: str) -> Presentation:
     with open(path, encoding="utf-8") as fh:
-        return presentation_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            # the schema nests a fixed few levels deep
+            raise LogicError(f"malformed presentation: {path} nests too deeply") from None
+    return presentation_from_dict(data)
 
 
 # -- compilation -------------------------------------------------------------

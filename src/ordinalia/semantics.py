@@ -223,14 +223,11 @@ class Periodic:
             self[len(self._terms)]
         return self._shape
 
-    def position(self, x) -> int | None:
-        """Index of x among the terms computed so far, or None."""
-        return self._index.get(x)
-
 
 def _power_sequence(rel: Relation) -> Periodic:
-    """rel^1, rel^2, ...: term c - 1 is rel^c."""
-    return Periodic(rel, lambda x: compose(x, rel), MAX_POWER_STEPS, "relation powers")
+    """rel^0, rel^1, ...: term c is rel^c, starting at the identity."""
+    return Periodic(identity_relation(len(rel)), lambda x: compose(x, rel),
+                    MAX_POWER_STEPS, "relation powers")
 
 
 def profile(aut: OrdinalAutomaton, sym: Symbol, k: int) -> frozenset:
@@ -274,14 +271,14 @@ def _powers(aut: OrdinalAutomaton, sym: Symbol, k: int) -> Periodic:
 
 def reach_power(aut: OrdinalAutomaton, sym: Symbol, k: int) -> Relation:
     """Endpoint relation of sigma^(w^k)."""
-    return _powers(aut, sym, k)[0]
+    return _powers(aut, sym, k)[1]
 
 
 def relation_power(rel: Relation, c: int) -> Relation:
     """rel^c for c >= 1, computed afresh (nothing is kept)."""
     if c < 1:
         raise ValueError("relation_power needs c >= 1")
-    return _power_sequence(rel)[c - 1]
+    return _power_sequence(rel)[c]
 
 
 def power_cycle(aut: OrdinalAutomaton, sym: Symbol, k: int) -> tuple[int, int]:
@@ -291,12 +288,7 @@ def power_cycle(aut: OrdinalAutomaton, sym: Symbol, k: int) -> tuple[int, int]:
     Exponent 0 (the identity) participates: a relation whose powers
     return to the identity is purely periodic and reports lam = 0.
     """
-    powers = _powers(aut, sym, k)
-    lam, pi = powers.shape()
-    at = powers.position(identity_relation(len(aut.states)))
-    if at is not None:
-        return 0, at + 1
-    return lam + 1, pi
+    return _powers(aut, sym, k).shape()
 
 
 # -- reachability across ordinal-length constant stretches ------------------
@@ -311,7 +303,7 @@ def _stretch(aut: OrdinalAutomaton, sym: Symbol, gap: Ordinal, rel: Relation) ->
     for k in range(gap.degree, -1, -1):
         c = gap.coefficient(k)
         if c:
-            rel = compose(rel, _powers(aut, sym, k)[c - 1])
+            rel = compose(rel, _powers(aut, sym, k)[c])
     return rel
 
 

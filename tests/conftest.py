@@ -17,7 +17,7 @@ import zlib
 import pytest
 
 from ordinalia.automata import make_automaton
-from ordinalia.ordinals import Ordinal, from_int
+from ordinalia.ordinals import from_int
 from ordinalia.words import alphabet, make_word
 
 AB = alphabet({"a", "b"})

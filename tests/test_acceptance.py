@@ -41,7 +41,7 @@ from ordinalia.growth import (
 )
 from ordinalia.logic import decide, find_witness, parse_formula
 from ordinalia.ordinals import Ordinal, from_int, parse_ordinal
-from ordinalia.semantics import ResourceLimitExceeded, member, saturation_holds
+from ordinalia.semantics import member, saturation_holds
 from ordinalia.words import make_word, product_alphabet, support
 
 from conftest import classical_accepts, random_automaton
@@ -209,7 +209,7 @@ def test_criterion_6_gap_encoding_logic_pipeline():
     for _ in range(25):
         aut = random_automaton(rng, max_states=3)
         pol = cap_policy([aut], W2)
-        nfa = to_gap_nfa(aut, pol, W2)
+        nfa = to_gap_nfa(aut, pol)
         for _ in range(20):
             w = random_w2_word()
             assert member(aut, w) == accepts_word(nfa, w)
@@ -217,7 +217,7 @@ def test_criterion_6_gap_encoding_logic_pipeline():
     for _ in range(10):
         aut = random_automaton(rng, max_states=3)
         pol = cap_policy([aut], W2)
-        nfa = to_gap_nfa(aut, pol, W2)
+        nfa = to_gap_nfa(aut, pol)
         comp = complement(nfa)
         for _ in range(20):
             w = random_w2_word()

@@ -17,7 +17,7 @@ from ordinalia.automata import (
     save_automaton,
     validate,
 )
-from ordinalia.words import alphabet, product_alphabet
+from ordinalia.words import product_alphabet
 
 from conftest import AB, classical_accepts, random_automaton
 

@@ -1,10 +1,15 @@
 """Command-line behavior: exit codes, stdout shapes, deterministic reports."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import ordinalia
 from ordinalia.automata import automaton_to_dict, equality_automaton, save_automaton
 from ordinalia.cli import main
 from ordinalia.examples import AB, presburger_presentation, wellorder_automaton
@@ -115,6 +120,16 @@ def test_normalize_with_a_partial_product_alphabet_is_a_usage_error(tmp_path, ca
     _assert_usage_error_report(argv, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["member", "-w", "len=1; {}", "-a"],
+    ["decide", "-f", "(exists x (Plus x x x))", "-p"],
+], ids=["automaton", "presentation"])
+def test_json_nested_past_the_decoder_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    _assert_usage_error_report(argv + [str(path)], tmp_path, capsys)
+
+
 # ---------------------------------------------------------------- decide
 
 
@@ -137,6 +152,43 @@ def test_decide_vacuous_quantifier(pres_path, sentence, capsys):
 def test_decide_rejects_open_formulas(pres_path, capsys):
     assert main(["decide", "-p", pres_path, "-f", "(Plus x y z)"]) == 2
     capsys.readouterr()
+
+
+def _nested(head: str, depth: int) -> str:
+    """A sentence ``depth`` nodes deep: ``head`` wraps the innermost
+    quantifier depth - 2 times."""
+    body = "(Plus x x x)"
+    for _ in range(depth - 2):
+        body = f"({head} {body})"
+    return f"(exists x {body})"
+
+
+def test_decide_past_the_formula_depth_is_exit_three(pres_path, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["decide", "-p", pres_path, "-f", _nested("not", 201)]
+    assert main(argv + ["--json-out", str(out)]) == 3
+    message = "formula nests deeper than MAX_FORMULA_DEPTH = 200"
+    assert capsys.readouterr().err == f"resource limit: {message}\n"
+    error = {"exit": 3, "type": "ResourceLimitExceeded", "message": message}
+    assert json.loads(out.read_text())["error"] == error
+
+
+def test_decide_over_a_huge_abstract_alphabet_is_exit_three_at_once(tmp_path):
+    # 18,024,010 abstract symbols: building the gap NFA would not finish
+    data = presentation_to_dict(presburger_presentation())
+    data["alpha"] = "w^2*3000+w*3000"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    src = pathlib.Path(ordinalia.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "ordinalia.cli", "decide", "-p", str(path),
+         "-f", "(exists x (Plus x x x))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=2,
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("resource limit:")
+    assert "MAX_ABSTRACT_SYMBOLS" in done.stderr
 
 
 # ---------------------------------------------------------------- witness
@@ -164,6 +216,12 @@ def test_witness_vacuous_existential(pres_path, sentence, capsys):
     assert main(["witness", "-p", pres_path, "-f", sentence]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert sorted(line.split(" = ")[0] for line in lines) == ["x", "y"]
+
+
+def test_witness_at_the_formula_depth_still_works(pres_path, capsys):
+    f = _nested("and (Plus x x x)", 200)
+    assert main(["witness", "-p", pres_path, "-f", f]) == 0
+    assert capsys.readouterr().out.startswith("x = ")
 
 
 def test_witness_missing_is_exit_one(pres_path, capsys):

@@ -7,8 +7,6 @@ finite stages, bit-twiddling for the numerals.
 
 import itertools
 
-import pytest
-
 from ordinalia.examples import (
     AB,
     BITS,
@@ -28,7 +26,7 @@ from ordinalia.examples import (
     tn_words,
     wellorder_automaton,
 )
-from ordinalia.ordinals import ZERO, Ordinal, from_int, parse_ordinal
+from ordinalia.ordinals import ZERO, from_int, parse_ordinal
 from ordinalia.semantics import member
 from ordinalia.words import blank_word, convolve, make_word, support, word_sort_key
 

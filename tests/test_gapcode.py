@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordinalia import gapcode
 from ordinalia.automata import make_automaton
 from ordinalia.gapcode import (
     CapPolicy,
@@ -23,7 +24,7 @@ from ordinalia.gapcode import (
     trim,
 )
 from ordinalia.ordinals import ZERO, Ordinal, add, from_int, parse_ordinal
-from ordinalia.semantics import member
+from ordinalia.semantics import ResourceLimitExceeded, member
 from ordinalia.words import convolve, make_word, product_alphabet
 
 from conftest import AB, random_automaton
@@ -88,7 +89,7 @@ def test_factoring_random_sample(rng):
     for _ in range(60):
         aut = random_automaton(rng, max_states=3)
         pol = cap_policy([aut], W2)
-        nfa = to_gap_nfa(aut, pol, W2)
+        nfa = to_gap_nfa(aut, pol)
         entries = {
             Ordinal((rng.randint(0, 5), rng.randint(0, 1))): rng.choice(["a", "b"])
             for _ in range(rng.randint(0, 3))
@@ -134,7 +135,7 @@ def test_complement_flips_membership(rng):
     for _ in range(25):
         aut = random_automaton(rng, max_states=3)
         pol = cap_policy([aut], W2)
-        nfa = to_gap_nfa(aut, pol, W2)
+        nfa = to_gap_nfa(aut, pol)
         comp = complement(nfa)
         for _ in range(8):
             entries = {
@@ -150,7 +151,7 @@ def test_product_and_union_language_algebra(rng):
         a = random_automaton(rng, max_states=3)
         b = random_automaton(rng, max_states=3)
         pol = cap_policy([a, b], W2)
-        na, nb = to_gap_nfa(a, pol, W2), to_gap_nfa(b, pol, W2)
+        na, nb = to_gap_nfa(a, pol), to_gap_nfa(b, pol)
         both = nfa_product(na, nb)
         either = nfa_union(na, nb)
         for _ in range(8):
@@ -168,7 +169,7 @@ def test_exists_project_drops_a_track(rng):
 
     eq = equality_automaton(AB)
     pol = cap_policy([eq], W2)
-    nfa = to_gap_nfa(eq, pol, W2)
+    nfa = to_gap_nfa(eq, pol)
     anything = exists_project(nfa, 1)
     for _ in range(10):
         entries = {
@@ -203,12 +204,92 @@ def test_exists_project_accepts_every_word_some_second_track_extends(rng):
     assert extended >= 8
 
 
+def _states(mask):
+    return {q for q in range(mask.bit_length()) if mask >> q & 1}
+
+
+def reference_project(nfa, coord):
+    """exists_project by a plain search per source state over (class,
+    state) pairs, reading only ``delta`` and ``add_classes``; the gap
+    rows come with each source's count of (state, class) pairs."""
+    pol, n, tracks = nfa.policy, nfa.size, nfa.alphabet.tracks
+    classes = [gs[1] for gs in nfa.delta if gs[0] == "gap"]
+    zero = (0,) * len(classes[0])
+    one = (1,) + zero[1:]  # every threshold is >= 1, so 1 is its own class
+
+    def proj(sym):
+        rest = sym[:coord] + sym[coord + 1 :]
+        return rest if tracks > 2 else rest[0]
+
+    letters, erased = {}, [set() for _ in range(n)]
+    for gs, rows in nfa.delta.items():
+        if gs[0] == "let":
+            narrow = proj(gs[1])
+            if narrow == "_" or narrow == ("_",) * (tracks - 1):
+                for q in range(n):
+                    erased[q] |= _states(rows[q])
+            else:
+                old = letters.setdefault(("let", narrow), set())
+                old |= {(q, p) for q in range(n) for p in _states(rows[q])}
+    gaps = {cls: [0] * n for cls in classes}
+    counts = []
+    for source in range(n):
+        reached = set()  # (merged class, state)
+        todo, seen = [(zero, source)], {(zero, source)}
+        while todo:
+            acc, q = todo.pop()
+            for cls in classes:
+                total = pol.add_classes(acc, cls)
+                for p in _states(nfa.delta[("gap", cls)][q]):
+                    reached.add((total, p))
+                    for t in erased[p]:
+                        item = (pol.add_classes(total, one), t)
+                        if item not in seen:
+                            seen.add(item)
+                            todo.append(item)
+        for total, p in reached:
+            gaps[total][source] |= 1 << p
+        counts.append(len(reached))
+    delta = {("gap", cls): tuple(rows) for cls, rows in gaps.items()}
+    for gs, pairs in sorted(letters.items(), key=repr):
+        delta[gs] = tuple(sum(1 << p for q2, p in pairs if q2 == q) for q in range(n))
+    narrow = product_alphabet(AB, tracks - 1) if tracks > 2 else AB
+    ref = trim(GapNFA(pol, narrow, n, nfa.initial, nfa.final, delta))
+    return ref, counts
+
+
+@pytest.mark.parametrize("tracks", [2, 3])
+@pytest.mark.parametrize("alpha_text", ["w^2", "w^2*3+w"])
+def test_exists_project_matches_a_per_state_search(tracks, alpha_text, rng):
+    alpha = parse_ordinal(alpha_text)
+    for _ in range(6):
+        aut = random_automaton(rng, max_states=4, alpha_bet=product_alphabet(AB, tracks))
+        nfa = to_gap_nfa(aut, cap_policy([aut], alpha))
+        coord = rng.randrange(tracks)
+        got = exists_project(nfa, coord)
+        ref, _ = reference_project(nfa, coord)
+        assert (got.size, got.initial, got.final) == (ref.size, ref.initial, ref.final)
+        assert list(got.delta.items()) == list(ref.delta.items())
+
+
+def test_merge_budget_counts_pairs_per_source_state(monkeypatch, rng):
+    for _ in range(8):
+        aut = random_automaton(rng, max_states=4, alpha_bet=product_alphabet(AB, 2))
+        nfa = to_gap_nfa(aut, cap_policy([aut], W2))
+        _, counts = reference_project(nfa, 1)
+        monkeypatch.setattr(gapcode, "MAX_MERGE_PAIRS", max(counts))
+        exists_project(nfa, 1)
+        monkeypatch.setattr(gapcode, "MAX_MERGE_PAIRS", max(counts) - 1)
+        with pytest.raises(ResourceLimitExceeded, match="gap-merge search exceeded"):
+            exists_project(nfa, 1)
+
+
 def test_emptiness_witness_round_trips(rng):
     found = 0
     for _ in range(40):
         aut = random_automaton(rng, max_states=3)
         pol = cap_policy([aut], W2)
-        nfa = to_gap_nfa(aut, pol, W2)
+        nfa = to_gap_nfa(aut, pol)
         w = emptiness_witness(nfa)
         if w is None:
             continue
@@ -222,7 +303,7 @@ def test_emptiness_witness_round_trips(rng):
 def test_emptiness_witness_none_for_empty_language():
     universal = random_automaton(__import__("random").Random(5), max_states=2)
     pol = cap_policy([universal], W2)
-    nfa = to_gap_nfa(universal, pol, W2)
+    nfa = to_gap_nfa(universal, pol)
     empty = nfa_product(nfa, complement(nfa))
     assert emptiness_witness(empty) is None
 
@@ -241,7 +322,7 @@ def test_emptiness_witness_rejects_an_unsound_representative(monkeypatch):
 
 def _least_accepted_word(nfa, max_symbols):
     """Length-lexicographic search, in repr order, over alternating words."""
-    syms = sorted(nfa.symbols(), key=repr)
+    syms = sorted(nfa.delta, key=repr)
     kinds = [[gs for gs in syms if gs[0] == kind] for kind in ("gap", "let")]
     for n in range(1, max_symbols + 1, 2):
         for word in itertools.product(*(kinds[i % 2] for i in range(n))):
@@ -255,7 +336,7 @@ def test_emptiness_witness_is_the_least_accepted_word(rng):
     for _ in range(12):
         aut = random_automaton(rng, max_states=3)
         pol = cap_policy([aut], W2)
-        nfa = to_gap_nfa(aut, pol, W2)
+        nfa = to_gap_nfa(aut, pol)
         for lang in (nfa, complement(nfa)):
             least = _least_accepted_word(lang, 5)
             w = emptiness_witness(lang)
@@ -270,7 +351,7 @@ def test_emptiness_witness_is_the_least_accepted_word(rng):
 def test_trim_preserves_the_language(rng):
     aut = random_automaton(rng, max_states=3)
     pol = cap_policy([aut], W2)
-    nfa = to_gap_nfa(aut, pol, W2)
+    nfa = to_gap_nfa(aut, pol)
     slim = trim(nfa)
     assert slim.size <= nfa.size
     for _ in range(10):
@@ -285,7 +366,7 @@ def test_trim_preserves_the_language(rng):
 def test_determinize_yields_unique_runs(rng):
     aut = random_automaton(rng, max_states=3)
     pol = cap_policy([aut], W2)
-    dfa = determinize(to_gap_nfa(aut, pol, W2))
+    dfa = determinize(to_gap_nfa(aut, pol))
     for rows in dfa.delta.values():
         for row in rows:
             assert row and row & (row - 1) == 0  # exactly one successor

@@ -41,9 +41,8 @@ from ordinalia.growth import (
     u_set,
     u_single,
 )
-from ordinalia.ordinals import ZERO, Ordinal, add, from_int, parse_ordinal
-from ordinalia.semantics import member
-from ordinalia.words import blank_word, make_word, support
+from ordinalia.ordinals import ZERO, Ordinal, from_int, parse_ordinal
+from ordinalia.words import make_word, support
 
 from conftest import random_automaton
 

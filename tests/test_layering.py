@@ -5,7 +5,8 @@ The order is ordinals < words < automata < semantics < gapcode <
 rank, so neither may import the other.  Function-local imports count
 too; ``__init__`` re-exports the public names and is exempt.  A name
 with a leading underscore is private to its module: no relative import
-may name one.
+may name one.  Every name a module or test file imports at top level is
+used in it.
 """
 
 import ast
@@ -27,6 +28,7 @@ RANK = {
 
 
 PACKAGE = pathlib.Path(ordinalia.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def relative_import_nodes(path: pathlib.Path):
@@ -66,3 +68,28 @@ def test_no_private_name_is_imported_across_modules():
         if alias.name.startswith("_")
     ]
     assert not private, private
+
+
+def unused_imports(path: pathlib.Path):
+    """(name, line) for every top-level import the file never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    yield name, node.lineno
+
+
+def test_every_top_level_import_is_used():
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+    files += sorted(TESTS.glob("*.py"))
+    unused = [
+        f"{p.parent.name}/{p.name}:{line} imports {name}"
+        for p in files
+        for name, line in unused_imports(p)
+    ]
+    assert not unused, unused

@@ -1,5 +1,4 @@
 import gc
-import itertools
 import weakref
 
 import pytest
@@ -25,7 +24,6 @@ from conftest import (
     AB,
     classical_accepts,
     classical_relation,
-    finite_word,
     omega_profiles_oracle,
     omega_word_accepts_oracle,
     random_automaton,
@@ -242,7 +240,6 @@ def test_periodic_extends_lazily_and_wraps_at_the_first_repeat():
     assert seq.shape() == (2, 3)
     assert [seq[k] for k in range(9)] == [0, 1, 2, 3, 4, 2, 3, 4, 2]
     assert seq[10**9] == 2 + (10**9 - 2) % 3
-    assert seq.position(4) == 4 and seq.position(7) is None
 
 
 def test_periodic_raises_past_its_limit():

@@ -264,6 +264,19 @@ def _check_coverage(aut: OrdinalAutomaton, policy: CapPolicy) -> None:
             )
 
 
+def check_abstract_symbols(policy: CapPolicy, base: Alphabet, arity: int) -> None:
+    """Raise unless a gap NFA over ``arity`` tracks of ``base`` under
+    ``policy`` has at most ``MAX_ABSTRACT_SYMBOLS`` abstract symbols: the
+    gap classes plus every letter, that is every tuple but the blank one.
+    Only the count is computed, so wide alphabets are refused at once."""
+    size = policy.class_count() + len(base.symbols) ** arity - 1
+    if size > MAX_ABSTRACT_SYMBOLS:
+        raise ResourceLimitExceeded(
+            f"abstract alphabet has {size} symbols, "
+            f"over MAX_ABSTRACT_SYMBOLS = {MAX_ABSTRACT_SYMBOLS}"
+        )
+
+
 def to_gap_nfa(aut: OrdinalAutomaton, policy: CapPolicy) -> GapNFA:
     """Factor an ordinal automaton through gap classes.
 
@@ -279,12 +292,7 @@ def to_gap_nfa(aut: OrdinalAutomaton, policy: CapPolicy) -> GapNFA:
     operations keep it or narrow it), so its size is checked here,
     before any row is built.
     """
-    size = policy.class_count() + len(aut.alphabet.letters())
-    if size > MAX_ABSTRACT_SYMBOLS:
-        raise ResourceLimitExceeded(
-            f"abstract alphabet has {size} symbols, "
-            f"over MAX_ABSTRACT_SYMBOLS = {MAX_ABSTRACT_SYMBOLS}"
-        )
+    check_abstract_symbols(policy, aut.alphabet.scalar, aut.alphabet.tracks)
     _check_coverage(aut, policy)
     blank = aut.alphabet.blank
     comp = compiled(aut)

@@ -17,6 +17,8 @@ word is equivalent to one whose support lies in the neighborhood
 ``U_m`` of the parameter supports, computed by repeatedly cutting
 pumpable stretches out of oversized gaps (the cut points come from a
 pigeonhole on run relations, so equivalence is preserved exactly).
+Cuts into blank windows are walked on the support points alone, and
+every batch of cuts at one window is re-verified by one ``equiv``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .words import (
     concat,
     convolve,
     restrict,
+    sorted_support,
     support,
     word_sort_key,
 )
@@ -275,6 +278,47 @@ def bound_u(X: Iterable[Ordinal], m: int, rounds: int, bound: Ordinal) -> int:
 # -- gap shrinking and support normalization -----------------------------------
 
 
+def _first_repeat(
+    family: RelationFamily, v: AlphaWord, gamma: Ordinal, n: int
+) -> tuple[int, int]:
+    """The first j1 < j2 whose prefix segments [gamma, gamma + w^n * j)
+    of v, with blank parameter tracks, give the same run relations in
+    every family automaton: the pigeonhole pair of a pumping window."""
+    base = family.base_alphabet
+
+    def relations_at(j: int) -> tuple:
+        seg = restrict(v, gamma, add(gamma, omega_power(n, j)))
+        rels = []
+        for aut in family.automata:
+            p = family.params(aut)
+            word = convolve([seg] + [blank_word(seg.length, base)] * p) if p else seg
+            rels.append(run_relation(aut, word))
+        return tuple(rels)
+
+    seen: dict = {}
+    for j in range(SHRINK_MAX_STEPS + 1):
+        rels = relations_at(j)
+        if rels in seen:
+            return seen[rels], j
+        seen[rels] = j
+    raise ResourceLimitExceeded(
+        f"no repeated segment relation within {SHRINK_MAX_STEPS} steps"
+    )
+
+
+def _cut(family: RelationFamily, E: Sequence[AlphaWord], v: AlphaWord,
+         c1: Ordinal, c2: Ordinal) -> AlphaWord:
+    """v with [c1, c2) cut out, re-verified exactly."""
+    w = concat(restrict(v, ZERO, c1), restrict(v, c2, v.length))
+    if w.length != v.length:
+        raise GrowthError(
+            "cut changed the word length; the window geometry is wrong"
+        )
+    if not equiv(family, E, v, w):
+        raise GrowthError("shrink failed re-verification")
+    return w
+
+
 def shrink_gap(
     family: RelationFamily,
     E: Sequence[AlphaWord],
@@ -296,41 +340,29 @@ def shrink_gap(
     for e in E:
         if any(gamma <= p < window_end for p in support(e)):
             raise GrowthError("shrink window overlaps a parameter support")
-    base = family.base_alphabet
+    n1, n2 = _first_repeat(family, v, gamma, n)
+    return _cut(family, E, v, add(gamma, omega_power(n, n1)),
+                add(gamma, omega_power(n, n2)))
 
-    def relations_at(j: int) -> tuple:
-        hi = gamma if j == 0 else add(gamma, omega_power(n, j))
-        seg = restrict(v, gamma, hi)
-        rels = []
-        for aut in family.automata:
-            p = family.params(aut)
-            word = convolve([seg] + [blank_word(seg.length, base)] * p) if p else seg
-            rels.append(run_relation(aut, word))
-        return tuple(rels)
 
-    seen: dict = {}
-    cut = None
-    for j in range(SHRINK_MAX_STEPS + 1):
-        rels = relations_at(j)
-        if rels in seen:
-            cut = (seen[rels], j)
-            break
-        seen[rels] = j
-    if cut is None:
-        raise ResourceLimitExceeded(
-            f"no repeated segment relation within {SHRINK_MAX_STEPS} steps"
-        )
-    n1, n2 = cut
-    c1 = gamma if n1 == 0 else add(gamma, omega_power(n, n1))
-    c2 = add(gamma, omega_power(n, n2))
-    w = concat(restrict(v, ZERO, c1), restrict(v, c2, v.length))
-    if w.length != v.length:
-        raise GrowthError(
-            "cut changed the word length; the window geometry is wrong"
-        )
-    if not equiv(family, E, v, w):
-        raise GrowthError("shrink failed re-verification")
-    return w
+def _blank_cut(family: RelationFamily, repeats: dict, alpha_bet, eps1: Ordinal,
+               n: int, points: Sequence[Ordinal]) -> tuple | None:
+    """The cut [c1, c2) of the window at eps1 when its first j2 blocks
+    hold no point, else None.  There the pair (j1, j2) is the blank block
+    relation's, searched once per exponent into ``repeats`` (None when
+    blank blocks do not repeat within the step budget)."""
+    if n not in repeats:
+        try:
+            blank = blank_word(omega_power(n + 1), alpha_bet)
+            repeats[n] = _first_repeat(family, blank, ZERO, n)
+        except ResourceLimitExceeded:
+            repeats[n] = None
+    if repeats[n] is None:
+        return None
+    c1, c2 = (add(eps1, omega_power(n, j)) for j in repeats[n])
+    if any(eps1 <= p < c2 for p in points):
+        return None
+    return c1, c2
 
 
 @dataclass(frozen=True)
@@ -349,7 +381,7 @@ def normalize(
     """Equivalent word with support inside the m-neighborhood of
     supp(E) plus the length.
 
-    With ``m`` omitted the true pigeonhole constant is used.  Each round
+    With ``m`` omitted the true pigeonhole constant is used.  Each step
     looks at the largest offending support point: when some coefficient
     of it is oversized and the pumping window around that coefficient
     avoids every parameter support (a blocked window at an exponent
@@ -361,8 +393,17 @@ def normalize(
     takes ten window cuts and then a transplant around ``w^4+w^3``.
     A user-supplied small ``m`` tightens the neighborhood far below
     what the pigeonhole justifies, so transplants become frequent and
-    may fail.  Every step re-verifies equivalence exactly — exploration
-    can fail loudly but never silently lies.
+    may fail.
+
+    When the first blocks of a window are blank, its prefix relations
+    are powers of the blank block relation, so its cut is known without
+    building a word: such cuts are walked on the support points alone.
+    Walked cuts that meet end to start make one stretch, cut out of the
+    word at once.  Every batch of cuts at one window is re-verified by
+    one ``equiv``, and every other cut and every transplant by its own,
+    so exploration can fail loudly but never silently lies.
+    ``max_steps`` counts single cuts and transplants; running out of it
+    raises ResourceLimitExceeded.
     """
     E = list(E)
     radius = k_const(family) if m is None else m
@@ -370,29 +411,62 @@ def normalize(
         raise GrowthError("the neighborhood radius must be at least 3")
     anchors = frozenset().union(*(support(e) for e in E)) if E else frozenset()
     anchors |= {v.length}
+    inside: dict = {}
+    repeats: dict = {}
     cur = v
+    points = sorted_support(v)  # the support after the walked cuts
+    walked = None  # [c1, c2): the walked cuts, not yet made on cur
     steps: list[str] = []
     prev_measure = None
-    for _ in range(max_steps):
-        offenders = sorted(
-            p for p in support(cur) if not u_contains(anchors, radius, p)
-        )
+
+    def settle() -> None:
+        nonlocal cur, walked
+        if walked is not None:
+            cur = _cut(family, E, cur, *walked)
+            walked = None
+
+    while len(steps) < max_steps:
+        for p in points:
+            if p not in inside:
+                inside[p] = u_contains(anchors, radius, p)
+        offenders = sorted(p for p in points if not inside[p])
         if not offenders:
+            settle()
             return NormalizeResult(cur, tuple(steps))
         beta = offenders[-1]
         measure = (len(offenders), beta)
         if prev_measure is not None and measure >= prev_measure:
+            settle()
             raise GrowthError("normalization stopped making progress")
         prev_measure = measure
         window = _find_window(beta, anchors, radius, cur.length)
-        if window is not None:
-            nn, eps1 = window
-            cur = shrink_gap(family, E, cur, eps1, nn)
-            steps.append(f"shrink window at {eps1} exponent {nn}")
+        if window is None:
+            settle()
+            cur = _transplant(family, E, cur, beta, radius)
+            points = sorted_support(cur)
+            steps.append(f"transplant around {beta}")
             continue
-        cur = _transplant(family, E, cur, beta, radius)
-        steps.append(f"transplant around {beta}")
-    raise GrowthError(f"normalization exceeded {max_steps} steps")
+        nn, eps1 = window
+        cut = _blank_cut(family, repeats, cur.alphabet, eps1, nn, points)
+        if cut is None:
+            settle()
+            cur = shrink_gap(family, E, cur, eps1, nn)
+            points = sorted_support(cur)
+        else:
+            c1, c2 = cut
+            end = add(eps1, omega_power(nn + 1))
+            points = [add(c1, interval_type(c2, p)) if c2 <= p < end else p
+                      for p in points]
+            if walked is not None and walked[0] == c2:
+                walked[0] = c1  # this cut ends where the walked ones begin
+            else:
+                settle()
+                walked = [c1, c2]
+        steps.append(f"shrink window at {eps1} exponent {nn}")
+    settle()
+    raise ResourceLimitExceeded(
+        f"normalization exceeded max_steps = {max_steps} steps"
+    )
 
 
 def _find_window(

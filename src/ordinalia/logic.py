@@ -297,6 +297,8 @@ def _atom_nfa(pres: Presentation, key: tuple, aut: OrdinalAutomaton,
               n: int, coords: tuple[int, ...]) -> gc.GapNFA:
     cached = pres._memo.get(("atom", key, n, coords))
     if cached is None:
+        # the wide alphabet has |symbols|^n letters: refuse it before reindex builds it
+        gc.check_abstract_symbols(pres.policy(), aut.alphabet.scalar, n)
         cached = gc.to_gap_nfa(au.reindex(aut, n, coords), pres.policy())
         pres._memo[("atom", key, n, coords)] = cached
     return cached

@@ -12,7 +12,12 @@ import pytest
 import ordinalia
 from ordinalia.automata import automaton_to_dict, equality_automaton, save_automaton
 from ordinalia.cli import main
-from ordinalia.examples import AB, presburger_presentation, wellorder_automaton
+from ordinalia.examples import (
+    AB,
+    presburger_presentation,
+    subsupp_automaton,
+    wellorder_automaton,
+)
 from ordinalia.logic import presentation_to_dict, save_presentation
 
 
@@ -173,19 +178,35 @@ def test_decide_past_the_formula_depth_is_exit_three(pres_path, tmp_path, capsys
     assert json.loads(out.read_text())["error"] == error
 
 
+def _decide_in_two_seconds(pres: str, sentence: str) -> subprocess.CompletedProcess:
+    src = pathlib.Path(ordinalia.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "ordinalia.cli", "decide", "-p", pres, "-f", sentence],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=2,
+    )
+
+
 def test_decide_over_a_huge_abstract_alphabet_is_exit_three_at_once(tmp_path):
     # 18,024,010 abstract symbols: building the gap NFA would not finish
     data = presentation_to_dict(presburger_presentation())
     data["alpha"] = "w^2*3000+w*3000"
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))
-    src = pathlib.Path(ordinalia.__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, "-m", "ordinalia.cli", "decide", "-p", str(path),
-         "-f", "(exists x (Plus x x x))"],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=2,
-    )
+    done = _decide_in_two_seconds(str(path), "(exists x (Plus x x x))")
+    assert done.returncode == 3
+    assert done.stderr.startswith("resource limit:")
+    assert "MAX_ABSTRACT_SYMBOLS" in done.stderr
+
+
+def test_decide_over_twelve_variables_is_exit_three_at_once(pres_path):
+    # twelve tracks make 3^12 - 1 letters; they are counted, never built
+    body = "(Plus x0 x0 x1)"
+    for i in range(1, 11):
+        body = f"(and {body} (Plus x{i} x{i} x{i + 1}))"
+    for i in reversed(range(12)):
+        body = f"(exists x{i} {body})"
+    done = _decide_in_two_seconds(pres_path, body)
     assert done.returncode == 3
     assert done.stderr.startswith("resource limit:")
     assert "MAX_ABSTRACT_SYMBOLS" in done.stderr
@@ -295,6 +316,18 @@ def test_normalize_tiny_radius_is_a_usage_error(eq_path, capsys):
     ])
     assert code == 2
     capsys.readouterr()
+
+
+def test_normalize_past_its_step_budget_is_exit_three(tmp_path, capsys):
+    path = tmp_path / "subsupp.json"
+    save_automaton(subsupp_automaton(AB), path)
+    out = tmp_path / "r.json"
+    argv = ["normalize", "-a", str(path), "-w", "len=w^2; {w*200+2:a}"]
+    assert main(argv + ["--json-out", str(out)]) == 3
+    message = "normalization exceeded max_steps = 64 steps"
+    assert capsys.readouterr() == ("", f"resource limit: {message}\n")
+    error = {"exit": 3, "type": "ResourceLimitExceeded", "message": message}
+    assert json.loads(out.read_text())["error"] == error
 
 
 # ---------------------------------------------------------------- growth

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordinalia import examples
+from ordinalia import examples, growth
 from ordinalia.automata import equality_automaton
 from ordinalia.semantics import ResourceLimitExceeded
 from ordinalia.examples import (
@@ -26,6 +26,7 @@ from ordinalia.examples import (
 )
 from ordinalia.growth import (
     GrowthError,
+    NormalizeResult,
     RelationFamily,
     bound_u,
     equiv,
@@ -42,7 +43,7 @@ from ordinalia.growth import (
     u_single,
 )
 from ordinalia.ordinals import ZERO, Ordinal, from_int, parse_ordinal
-from ordinalia.words import make_word, support
+from ordinalia.words import make_word, product_alphabet, support
 
 from conftest import random_automaton
 
@@ -346,3 +347,144 @@ def test_squaring_experiment_reports_doubling_slopes():
     rows = squaring_experiment(max_support=3)
     assert [r.slope for r in rows] == [2, 4, 8]
     assert [r.distinct for r in rows] == [4**s for s in (1, 2, 3)]
+
+
+# ------------------------------------------------------------ batched cuts
+
+
+def _single_step_window(beta, anchors, radius, alpha):
+    """The lowest exponent of beta whose coefficient is at least
+    radius - 1 and whose pumping window holds no anchor."""
+    for n in range(beta.degree + 1):
+        b = beta.coefficient(n)
+        if b < radius - 1:
+            continue
+        start = Ordinal((0,) * n + (b + 1 - radius,) + beta.coeffs[n + 1:])
+        end = Ordinal((0,) * (n + 1) + (beta.coefficient(n + 1) + 1,)
+                      + beta.coeffs[n + 2:])
+        if not any(start <= a < end for a in {*anchors, alpha}):
+            return n, start
+    return None
+
+
+def _single_step_normalize(family, E, v, m=None, max_steps=64):
+    """The normalization loop that makes every cut on its own, through
+    the public ``shrink_gap``, and re-verifies it by its own ``equiv``."""
+    radius = k_const(family) if m is None else m
+    anchors = frozenset().union(*(support(e) for e in E)) | {v.length}
+    cur, steps, prev = v, [], None
+    for _ in range(max_steps):
+        offenders = sorted(p for p in support(cur) if not u_contains(anchors, radius, p))
+        if not offenders:
+            return NormalizeResult(cur, tuple(steps))
+        beta = offenders[-1]
+        if prev is not None and (len(offenders), beta) >= prev:
+            raise GrowthError("normalization stopped making progress")
+        prev = (len(offenders), beta)
+        window = _single_step_window(beta, anchors, radius, cur.length)
+        if window is None:
+            cur = growth._transplant(family, E, cur, beta, radius)
+            steps.append(f"transplant around {beta}")
+        else:
+            n, start = window
+            cur = shrink_gap(family, E, cur, start, n)
+            steps.append(f"shrink window at {start} exponent {n}")
+    raise ResourceLimitExceeded(f"normalization exceeded max_steps = {max_steps} steps")
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (GrowthError, ResourceLimitExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_point(rng, top):
+    return Ordinal(tuple(rng.randint(0, top) for _ in range(rng.randint(1, 3))))
+
+
+def _nearby(rng, point):
+    """point with its finite coefficient redrawn: an anchor that can
+    block the windows of point and force a transplant."""
+    return Ordinal((rng.randint(0, point.coefficient(0) + 2),) + point.coeffs[1:])
+
+
+def test_batched_cuts_match_the_single_step_loop(rng):
+    # random one- and two-track families of 1-3 states, parameters with
+    # 0-2 anchors, words below w^3 reaching 40 past the radius
+    pair = product_alphabet(AB, 2)
+    letters = sorted(AB.symbols - {AB.blank})
+    outcomes = []
+    for _ in range(30):
+        two = rng.random() < 0.5
+        aut = random_automaton(rng, max_states=3, alpha_bet=pair if two else AB)
+        fam = RelationFamily((aut,), W3)
+        m = rng.choice([None, 3, 5])
+        top = (k_const(fam) if m is None else m) + 40
+        points = {_random_point(rng, top) for _ in range(rng.randint(1, 3))}
+        v = make_word(W3, [(p, rng.choice(letters)) for p in points], AB)
+        anchors = {rng.choice([_random_point(rng, top), _nearby(rng, max(points))])
+                   for _ in range(rng.randint(0, 2))}
+        E = [make_word(W3, [(p, rng.choice(letters)) for p in anchors - points], AB)]
+        budgets = [rng.randint(1, 12), 8192]
+        for max_steps in budgets:
+            batched = _outcome(lambda: normalize(fam, E, v, m, max_steps))
+            single = _outcome(lambda: _single_step_normalize(fam, E, v, m, max_steps))
+            assert batched == single, (aut, v, E, m, max_steps)
+            outcomes.append(single)
+            if max_steps == 8192 and isinstance(single, NormalizeResult):
+                budgets.append(len(single.steps))  # the budget runs out at the last cut
+    finished = [o for o in outcomes if isinstance(o, NormalizeResult)]
+    assert sum(len(o.steps) > 20 for o in finished) >= 5
+    assert ("ResourceLimitExceeded",) in {o[:1] for o in outcomes if o not in finished}
+
+
+def test_batched_cuts_match_the_single_step_loop_around_transplants(rng):
+    # degrees above the radius leave offenders no window can pump, so
+    # transplants come between the runs of cuts
+    alpha = parse_ordinal("w^5")
+    fam = one_state_family(alpha=alpha)
+    outcomes = []
+    for _ in range(12):
+        points = {Ordinal(tuple(rng.randint(0, 12) for _ in range(5)))
+                  for _ in range(rng.randint(1, 2))}
+        v = make_word(alpha, [(p, "a") for p in points], AB)
+        m = rng.choice([None, 3, 5])
+        batched = _outcome(lambda: normalize(fam, [], v, m, 8192))
+        assert batched == _outcome(lambda: _single_step_normalize(fam, [], v, m, 8192)), v
+        outcomes.append(batched)
+    steps = [s for o in outcomes if isinstance(o, NormalizeResult) for s in o.steps]
+    assert any("transplant" in s for s in steps)
+
+
+def test_a_batch_of_cuts_is_verified_once():
+    # w*40+30 first loses its finite part and then its w coefficient, one
+    # period per cut; each of the two runs of cuts is checked by one equiv
+    fam = one_state_family()
+    v = make_word(W2, [(parse_ordinal("w*40+30"), "a")], AB)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return equiv(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "equiv", counted)
+        res = normalize(fam, [], v, max_steps=4096)
+    assert len(res.steps) > 50
+    assert {s.rsplit(" ", 1)[-1] for s in res.steps} == {"0", "1"}
+    assert len(calls) == 2
+
+
+def test_a_batched_cut_that_fails_verification_is_loud(monkeypatch):
+    fam = one_state_family()
+    v = make_word(W2, [(parse_ordinal("w*40+30"), "a")], AB)
+
+    def unused(*args):
+        raise AssertionError("a blank window is cut without shrink_gap")
+
+    monkeypatch.setattr(growth, "shrink_gap", unused)
+    monkeypatch.setattr(growth, "equiv", lambda *args: False)
+    with pytest.raises(GrowthError, match="shrink failed re-verification"):
+        normalize(fam, [], v, max_steps=4096)
+

@@ -109,7 +109,9 @@ def _cmd_normalize(args) -> tuple[int, dict]:
     v = parse_word(args.word, base)
     family = RelationFamily(tuple(auts), v.length)
     params = [parse_word(text, base) for text in args.param]
-    result = normalize(family, params, v, m=args.radius)
+    if args.max_steps < 0:
+        raise UsageError(f"--max-steps must be >= 0, got {args.max_steps}")
+    result = normalize(family, params, v, m=args.radius, max_steps=args.max_steps)
     print(format_word(result.word))
     for step in result.steps:
         print(f"  {step}")
@@ -240,6 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parameter word literal (repeatable)")
     p.add_argument("-m", "--radius", type=int, default=None,
                    help="exploratory radius instead of the true constant")
+    p.add_argument("--max-steps", type=int, default=64,
+                   help="budget of window cuts and transplants (default 64)")
 
     p = command("growth", _cmd_growth, "run the growth-rate probes")
     p.add_argument("--stages", type=int, default=1,

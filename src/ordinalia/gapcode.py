@@ -12,7 +12,10 @@ The bucketing is a :class:`CapPolicy`: per ω-exponent, coefficients are
 kept exact below a threshold and wrap with a period above it.  The
 thresholds sit strictly above the coefficients of the ambient length
 ``alpha``, which makes "these gaps sum to exactly alpha" a finite-state
-property — the key trick behind the whole layer.
+property — the key trick behind the whole layer.  It also means every
+member of a class compares with alpha alike, so the gap NFAs read only
+the classes at most alpha: no gap of a word of length alpha lies in
+the others.  Complements are minimal DFAs.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .automata import OrdinalAutomaton
 from .ordinals import ONE, Ordinal
@@ -127,12 +130,31 @@ class CapPolicy:
     def alpha_class(self) -> tuple[int, ...]:
         return self.class_of(self.alpha)
 
-    def all_classes(self) -> Iterator[tuple[int, ...]]:
+    def all_classes(self) -> list[tuple[int, ...]]:
+        """The classes whose representative is at most alpha, in
+        lexicographic order.
+
+        A threshold exceeds alpha's coefficient at its exponent, so a
+        class either fixes the coefficient there or puts it above
+        alpha's, and all its members compare with alpha alike.  A class
+        below alpha agrees with alpha above some exponent j, is smaller
+        at j, and is anything below j.
+        """
+        top = self.alpha_class
         ranges = [range(l + p) for l, p in zip(self.thresholds, self.periods)]
-        return itertools.product(*ranges)
+        found = [top]
+        for j, a in enumerate(top):
+            found.extend(low + (c,) + top[j + 1 :]
+                         for low in itertools.product(*ranges[:j]) for c in range(a))
+        return sorted(found)
 
     def class_count(self) -> int:
-        return math.prod(l + p for l, p in zip(self.thresholds, self.periods))
+        """``len(all_classes())``: 1 + Σ_j alpha_j · Π_{i<j} (λ_i + π_i)."""
+        count, box = 1, 1
+        for a, l, p in zip(self.alpha_class, self.thresholds, self.periods):
+            count += a * box
+            box *= l + p
+        return count
 
 
 def cap_policy(working: Iterable[OrdinalAutomaton], alpha: Ordinal) -> CapPolicy:
@@ -165,7 +187,9 @@ def cap_policy(working: Iterable[OrdinalAutomaton], alpha: Ordinal) -> CapPolicy
 #
 # Abstract symbols are ("gap", class-tuple) or ("let", symbol).  A
 # valid abstract word alternates, starts and ends with a gap, and its
-# capped total equals alpha's class.  Gap NFAs may also accept invalid
+# capped total equals alpha's class.  No gap of a valid word lies in a
+# class above alpha, so the gap symbols are the classes at most alpha
+# (CapPolicy.all_classes).  Gap NFAs may also accept invalid
 # words: the shape is checked only where a language is read
 # (accepts_abstract, emptiness_witness).  That is sound because every
 # construction commutes with intersecting the shape language.  Product,
@@ -179,8 +203,9 @@ class GapNFA:
     """Classical NFA over gap classes and non-blank letters.
 
     States are 0..size-1 and sets of states are bitmasks.  The keys of
-    ``delta`` are the NFA's alphabet: every gap class of the policy in
-    ``all_classes()`` order, then the letters in ``letters()`` order.
+    ``delta`` are the NFA's alphabet: the gap classes of the policy at
+    most alpha, in ``all_classes()`` order, then the letters in
+    ``letters()`` order.
     Each maps to a relation in the sense of :mod:`ordinalia.semantics`:
     a tuple of ``size`` rows, row q the mask of successors of q.  Its
     language is read through the shape: the words it stands for are the
@@ -409,13 +434,69 @@ def determinize(nfa: GapNFA) -> GapNFA:
     return GapNFA(nfa.policy, nfa.alphabet, len(subsets), 1, final, delta)
 
 
+def _minimize(dfa: GapNFA) -> GapNFA:
+    """The minimal DFA of a total DFA whose states are all reachable.
+
+    Hopcroft's partition refinement (1971): a block is split by the
+    states that some symbol takes into a splitter block, and of the two
+    halves of a block not waiting to split others only the smaller one
+    waits.  Blocks are numbered by their first state, so state 0 stays
+    the initial state and the numbering is deterministic.
+    """
+    n = dfa.size
+    succ = {gs: [row.bit_length() - 1 for row in rows] for gs, rows in dfa.delta.items()}
+    pred = []  # per symbol: state -> the states it is the successor of
+    for targets in succ.values():
+        into: dict = {}
+        for q, t in enumerate(targets):
+            into.setdefault(t, []).append(q)
+        pred.append(into)
+    accepting = set(bits(dfa.final))
+    blocks = [part for part in (accepting, set(range(n)) - accepting) if part]
+    block_of = [0] * n
+    for b, part in enumerate(blocks):
+        for q in part:
+            block_of[q] = b
+    waiting = set(range(len(blocks)))
+    while waiting:
+        splitter = list(blocks[waiting.pop()])
+        for into in pred:
+            hit: dict = {}  # block -> its states taken into the splitter
+            for t in splitter:
+                for q in into.get(t, ()):
+                    hit.setdefault(block_of[q], []).append(q)
+            for b, moved in hit.items():
+                if len(moved) == len(blocks[b]):
+                    continue
+                new = len(blocks)
+                blocks[b].difference_update(moved)
+                blocks.append(set(moved))
+                for q in moved:
+                    block_of[q] = new
+                if b in waiting or len(moved) < len(blocks[b]):
+                    waiting.add(new)
+                else:
+                    waiting.add(b)
+    number: dict = {}  # block -> its number
+    first = []  # the first state of each numbered block
+    for q in range(n):
+        if block_of[q] not in number:
+            number[block_of[q]] = len(first)
+            first.append(q)
+    delta = {gs: tuple(1 << number[block_of[targets[q]]] for q in first)
+             for gs, targets in succ.items()}
+    final = sum(1 << b for b, q in enumerate(first) if dfa.final >> q & 1)
+    return GapNFA(dfa.policy, dfa.alphabet, len(first), 1, final, delta)
+
+
 def complement(nfa: GapNFA) -> GapNFA:
-    """Words not accepted: determinize and flip the final states.
+    """Words not accepted: the minimal DFA of ``nfa`` with its final
+    states flipped, itself a minimal DFA.
 
     Read through the shape, this is the set of shape-valid words that
     ``nfa`` rejects.
     """
-    dfa = determinize(nfa)
+    dfa = _minimize(determinize(nfa))
     rejecting = ~dfa.final & (1 << dfa.size) - 1
     return GapNFA(dfa.policy, dfa.alphabet, dfa.size, dfa.initial, rejecting, dfa.delta)
 
@@ -428,7 +509,10 @@ def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
     neighboring gaps; the merge g (+1+g')* is carried out in capped
     class arithmetic by one search over (accumulated class, relation)
     pairs, where row q of the relation holds the states source q has
-    reached with that class.
+    reached with that class.  The merged classes are the gap symbols
+    of ``nfa``, the classes at most alpha: the search drops a total
+    above alpha and does not go on from it, since every longer merge
+    is above alpha too.
     """
     base = nfa.alphabet.scalar
     r = nfa.alphabet.tracks
@@ -459,6 +543,8 @@ def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
         acc, before = queue.popleft()
         for cls in classes:
             total = policy.add_classes(acc, cls)
+            if ("gap", total) not in nfa.delta:
+                continue
             known = reached.get(total, nothing)
             after = compose(before, nfa.delta[("gap", cls)])
             fresh = tuple(row & ~old for row, old in zip(after, known))

@@ -330,6 +330,19 @@ def test_normalize_past_its_step_budget_is_exit_three(tmp_path, capsys):
     assert json.loads(out.read_text())["error"] == error
 
 
+@pytest.mark.parametrize("flags, code, err", [
+    ([], 3, "resource limit: normalization exceeded max_steps = 64 steps\n"),
+    (["--max-steps", "200"], 0, ""),
+    (["--max-steps", "-1"], 2, "error: --max-steps must be >= 0, got -1\n"),
+], ids=["default", "raised", "negative"])
+def test_normalize_step_budget_flag(flags, code, err, tmp_path, capsys):
+    path = tmp_path / "subsupp.json"
+    save_automaton(subsupp_automaton(AB), path)
+    argv = ["normalize", "-a", str(path), "-w", "len=w^2; {w*90+7:a}"]
+    assert main(argv + flags) == code
+    assert capsys.readouterr().err == err
+
+
 # ---------------------------------------------------------------- growth
 
 

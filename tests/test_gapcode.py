@@ -24,7 +24,7 @@ from ordinalia.gapcode import (
     trim,
 )
 from ordinalia.ordinals import ZERO, Ordinal, add, from_int, parse_ordinal
-from ordinalia.semantics import ResourceLimitExceeded, member
+from ordinalia.semantics import ResourceLimitExceeded, const_reach, member
 from ordinalia.words import convolve, make_word, product_alphabet
 
 from conftest import AB, random_automaton
@@ -83,6 +83,31 @@ def test_alpha_class_is_a_singleton():
         if cls == pol.alpha_class:
             continue
         assert pol.representative(cls) != W2
+
+
+def test_all_classes_are_the_classes_at_most_alpha(rng):
+    below = above = 0
+    for _ in range(60):
+        d = rng.randint(0, 3)
+        alpha = Ordinal(tuple(rng.randint(0, 3) for _ in range(d)) + (rng.randint(1, 3),))
+        pol = CapPolicy(alpha,
+                        tuple(alpha.coefficient(j) + rng.randint(1, 3) for j in range(d + 1)),
+                        tuple(rng.randint(1, 3) for _ in range(d + 1)))
+        classes = list(pol.all_classes())
+        box = itertools.product(*(range(l + p) for l, p in zip(pol.thresholds, pol.periods)))
+        assert classes == [cls for cls in box if pol.representative(cls) <= alpha]
+        assert pol.class_count() == len(classes)
+        for _ in range(20):
+            g = Ordinal(tuple(rng.randint(0, alpha.coefficient(j) + 2) for j in range(d + 1)))
+            # class_of refuses a gap above alpha, so cap by hand
+            cls = tuple(pol.cap(j, g.coefficient(j)) for j in range(d + 1))
+            assert (cls in classes) == (g <= alpha)
+            if g <= alpha:
+                below += 1
+                assert cls == pol.class_of(g)
+            else:
+                above += 1
+    assert below >= 100 and above >= 100
 
 
 def test_factoring_random_sample(rng):
@@ -211,7 +236,8 @@ def _states(mask):
 def reference_project(nfa, coord):
     """exists_project by a plain search per source state over (class,
     state) pairs, reading only ``delta`` and ``add_classes``; the gap
-    rows come with each source's count of (state, class) pairs."""
+    rows come with each source's count of (state, class) pairs.  A
+    merged total that is not a gap class of ``nfa`` is skipped."""
     pol, n, tracks = nfa.policy, nfa.size, nfa.alphabet.tracks
     classes = [gs[1] for gs in nfa.delta if gs[0] == "gap"]
     zero = (0,) * len(classes[0])
@@ -240,6 +266,8 @@ def reference_project(nfa, coord):
             acc, q = todo.pop()
             for cls in classes:
                 total = pol.add_classes(acc, cls)
+                if total not in gaps:
+                    continue
                 for p in _states(nfa.delta[("gap", cls)][q]):
                     reached.add((total, p))
                     for t in erased[p]:
@@ -270,6 +298,71 @@ def test_exists_project_matches_a_per_state_search(tracks, alpha_text, rng):
         ref, _ = reference_project(nfa, coord)
         assert (got.size, got.initial, got.final) == (ref.size, ref.initial, ref.final)
         assert list(got.delta.items()) == list(ref.delta.items())
+
+
+def full_box_nfa(aut, policy):
+    """to_gap_nfa with a row for every class of the policy's box, those
+    above alpha included, built here with const_reach."""
+    nfa = to_gap_nfa(aut, policy)
+    box = itertools.product(*(range(l + p) for l, p in zip(policy.thresholds, policy.periods)))
+    delta = {("gap", cls): const_reach(aut, aut.alphabet.blank, policy.representative(cls))
+             for cls in box}
+    for gs, rows in nfa.delta.items():
+        if gs[0] == "gap":
+            assert delta[gs] == rows
+        else:
+            delta[gs] = rows
+    return GapNFA(policy, aut.alphabet, nfa.size, nfa.initial, nfa.final, delta)
+
+
+def flipped_dfa(nfa):
+    """complement without minimization: the subset DFA, finals flipped."""
+    dfa = determinize(nfa)
+    rejecting = ~dfa.final & (1 << dfa.size) - 1
+    return GapNFA(dfa.policy, dfa.alphabet, dfa.size, dfa.initial, rejecting, dfa.delta)
+
+
+@pytest.mark.parametrize("alpha_text", ["w", "w^2", "w^2*3+w"])
+def test_the_classes_above_alpha_move_no_witness(alpha_text, rng):
+    alpha = parse_ordinal(alpha_text)
+    two = product_alphabet(AB, 2)
+    found = 0
+    for _ in range(8):
+        a = random_automaton(rng, max_states=3, alpha_bet=two)
+        b = random_automaton(rng, max_states=3, alpha_bet=two)
+        pol = cap_policy([a, b], alpha)
+        na, nb = to_gap_nfa(a, pol), to_gap_nfa(b, pol)
+        fa, fb = full_box_nfa(a, pol), full_box_nfa(b, pol)
+        coord = rng.randrange(2)
+        pairs = [
+            (complement(na), flipped_dfa(fa)),
+            (nfa_product(na, nb), nfa_product(fa, fb)),
+            (exists_project(na, coord), reference_project(fa, coord)[0]),
+        ]
+        for got, full in pairs:
+            w = emptiness_witness(got)
+            assert w == emptiness_witness(full)
+            found += w is not None
+    assert found >= 8
+
+
+def test_complement_is_a_minimal_dfa_of_the_same_language(rng):
+    shrunk = 0
+    for _ in range(10):
+        aut = random_automaton(rng, max_states=3)
+        nfa = to_gap_nfa(aut, cap_policy([aut], W2))
+        comp, plain = complement(nfa), flipped_dfa(nfa)
+        assert comp.size <= plain.size
+        shrunk += comp.size < plain.size
+        again = gapcode._minimize(comp)
+        assert (again.size, again.initial, again.final) == (comp.size, comp.initial, comp.final)
+        assert list(again.delta.items()) == list(comp.delta.items())
+        # only words that alternate, starting with a gap, can be shape-valid
+        kinds = [[gs for gs in comp.delta if gs[0] == kind] for kind in ("gap", "let")]
+        for n in (1, 3, 5):
+            for word in itertools.product(*(kinds[i % 2] for i in range(n))):
+                assert accepts_abstract(comp, word) == accepts_abstract(plain, word)
+    assert shrunk >= 3
 
 
 def test_merge_budget_counts_pairs_per_source_state(monkeypatch, rng):

@@ -9,9 +9,10 @@ keeps the machine's tables compiled to rows of state bitmasks and what
 it has computed about the machine, so the results live exactly as long
 as the machine does.
 
-Track reindexing works on the transition tables directly; the
-semantic justification lives with the run-analysis code in
-:mod:`ordinalia.semantics`.
+Which cells of a wide symbol feed which track of a machine is decided
+in one place, :func:`track_layout`.  :func:`reindex` builds the lifted
+machine from it; the gap-NFA layer (:func:`ordinalia.gapcode.to_gap_nfa`)
+reads the same map to lift a machine without building one.
 """
 
 from __future__ import annotations
@@ -106,17 +107,16 @@ def make_automaton(
 # -- constructions --------------------------------------------------------
 
 
-def reindex(aut: OrdinalAutomaton, arity: int, coords: Sequence[int]) -> OrdinalAutomaton:
-    """Lift an automaton over Sigma^r to one over Sigma^arity.
+def track_layout(ab: Alphabet, arity: int, coords: Sequence[int]) -> tuple:
+    """The wide alphabet of ``arity`` tracks over ``ab``'s scalar one,
+    and the map from each wide symbol to the symbol of ``ab`` it feeds.
 
     ``coords[i]`` says which coordinate of the wide symbol feeds the
-    automaton's i-th input track.  Repeats are allowed (equating
-    tracks); unmentioned coordinates are unconstrained.  An automaton
-    over a plain (non-product) alphabet counts as one-track.  With
-    ``arity == 1`` the result reads the scalar alphabet, and a
-    one-track automaton over it is returned as it is.
+    i-th track of ``ab``.  Repeats are allowed (equating tracks);
+    unmentioned coordinates are unconstrained.  A plain (non-product)
+    alphabet counts as one track.  With ``arity == 1`` the wide
+    alphabet is the scalar one: a plain ``ab`` itself.
     """
-    ab = aut.alphabet
     if len(coords) != ab.tracks:
         raise AutomatonError(
             f"reindex: expected {ab.tracks} coordinates, got {len(coords)}"
@@ -124,18 +124,23 @@ def reindex(aut: OrdinalAutomaton, arity: int, coords: Sequence[int]) -> Ordinal
     if any(c < 0 or c >= arity for c in coords):
         raise AutomatonError("reindex: coordinate out of range")
     plain = ab.scalar is ab
-    if arity == 1 and plain:
-        return aut
     wide = product_alphabet(ab.scalar, arity) if arity > 1 else ab.scalar
-
-    succ: dict = {}
+    narrow = {}
     for wsym in wide.symbols:
         cells = wsym if arity > 1 else (wsym,)
-        narrow = cells[coords[0]] if plain else tuple(cells[c] for c in coords)
-        for q in aut.states:
-            targets = aut.step(q, narrow)
-            if targets:
-                succ[(q, wsym)] = targets
+        narrow[wsym] = cells[coords[0]] if plain else tuple(cells[c] for c in coords)
+    return wide, narrow
+
+
+def reindex(aut: OrdinalAutomaton, arity: int, coords: Sequence[int]) -> OrdinalAutomaton:
+    """Lift an automaton over Sigma^r to one over Sigma^arity, whose
+    tracks ``coords`` feed it (:func:`track_layout`).  A one-track
+    automaton lifted onto the scalar alphabet is returned as it is."""
+    wide, narrow = track_layout(aut.alphabet, arity, coords)
+    if wide is aut.alphabet:
+        return aut
+    succ = {(q, wsym): aut.step(q, sym)
+            for wsym, sym in narrow.items() for q in aut.states}
     return OrdinalAutomaton(
         aut.states, wide, aut.initial, aut.final, succ, dict(aut.limit)
     )

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .automata import OrdinalAutomaton
+from .automata import OrdinalAutomaton, track_layout
 from .ordinals import ONE, Ordinal
 from .semantics import (
     ResourceLimitExceeded,
@@ -289,44 +289,40 @@ def _check_coverage(aut: OrdinalAutomaton, policy: CapPolicy) -> None:
             )
 
 
-def check_abstract_symbols(policy: CapPolicy, base: Alphabet, arity: int) -> None:
-    """Raise unless a gap NFA over ``arity`` tracks of ``base`` under
-    ``policy`` has at most ``MAX_ABSTRACT_SYMBOLS`` abstract symbols: the
-    gap classes plus every letter, that is every tuple but the blank one.
-    Only the count is computed, so wide alphabets are refused at once."""
-    size = policy.class_count() + len(base.symbols) ** arity - 1
+def to_gap_nfa(aut: OrdinalAutomaton, policy: CapPolicy, arity: int | None = None,
+               coords: Sequence[int] | None = None) -> GapNFA:
+    """Factor an ordinal automaton, read on ``arity`` tracks of which
+    ``coords`` feed it (by default its own), through gap classes.
+
+    The result is the gap NFA of ``reindex(aut, arity, coords)``, built
+    without that automaton: its states are those of ``aut``, numbered
+    as :func:`~ordinalia.semantics.compiled` numbers them.  A gap class
+    moves by the blank-stretch relation of its representative on
+    ``aut`` itself (a wide blank feeds ``aut`` its blank), so every
+    layout shares one run analysis, and a wide letter by the successor
+    row of the symbol it feeds (:func:`~ordinalia.automata.track_layout`).
+    Read through the shape, abstract acceptance is membership in the
+    lifted automaton.  Every gap NFA's alphabet is made here, so its
+    size is checked here, before the wide alphabet or any row is built.
+    """
+    ab = aut.alphabet
+    arity = ab.tracks if arity is None else arity
+    coords = range(ab.tracks) if coords is None else coords
+    size = policy.class_count() + len(ab.scalar.symbols) ** arity - 1
     if size > MAX_ABSTRACT_SYMBOLS:
         raise ResourceLimitExceeded(
             f"abstract alphabet has {size} symbols, "
             f"over MAX_ABSTRACT_SYMBOLS = {MAX_ABSTRACT_SYMBOLS}"
         )
-
-
-def to_gap_nfa(aut: OrdinalAutomaton, policy: CapPolicy) -> GapNFA:
-    """Factor an ordinal automaton through gap classes.
-
-    The result is the skeleton: the automaton's own states, numbered
-    as :func:`~ordinalia.semantics.compiled` numbers them, gap-class
-    transitions given by the blank-stretch reachability relations of
-    class representatives, and letter transitions straight from the
-    compiled successor rows.  Read through the shape, abstract
-    acceptance is equivalent to membership: member(aut, w) iff
-    abstract_word(w, policy) is accepted.
-
-    This is where every gap NFA's alphabet is made (the other
-    operations keep it or narrow it), so its size is checked here,
-    before any row is built.
-    """
-    check_abstract_symbols(policy, aut.alphabet.scalar, aut.alphabet.tracks)
+    wide, narrow = track_layout(ab, arity, coords)
     _check_coverage(aut, policy)
-    blank = aut.alphabet.blank
     comp = compiled(aut)
     delta = {
-        ("gap", cls): const_reach(aut, blank, policy.representative(cls))
+        ("gap", cls): const_reach(aut, ab.blank, policy.representative(cls))
         for cls in policy.all_classes()
     }
-    delta.update((("let", s), comp.rows[s]) for s in aut.alphabet.letters())
-    return GapNFA(policy, aut.alphabet, len(aut.states), comp.initial, comp.final, delta)
+    delta.update((("let", s), comp.rows[narrow[s]]) for s in wide.letters())
+    return GapNFA(policy, wide, len(aut.states), comp.initial, comp.final, delta)
 
 
 # -- NFA algebra -------------------------------------------------------------
@@ -512,7 +508,8 @@ def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
     reached with that class.  The merged classes are the gap symbols
     of ``nfa``, the classes at most alpha: the search drops a total
     above alpha and does not go on from it, since every longer merge
-    is above alpha too.
+    is above alpha too, and for the same reason it queues g + 1 only
+    when that class is at most alpha.
     """
     base = nfa.alphabet.scalar
     r = nfa.alphabet.tracks
@@ -558,9 +555,10 @@ def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
                         "gap-merge search exceeded "
                         f"{MAX_MERGE_PAIRS} (state, class) pairs"
                     )
-            erased = compose(fresh, erase)
+            nxt = policy.add_classes(total, one)
+            erased = compose(fresh, erase) if ("gap", nxt) in nfa.delta else nothing
             if any(erased):
-                queue.append((policy.add_classes(total, one), erased))
+                queue.append((nxt, erased))
     delta = {("gap", cls): reached.get(cls, nothing) for cls in classes}
     delta.update((("let", ps), tuple(rows)) for ps, rows in letters.items())
     return trim(GapNFA(policy, narrow, n, nfa.initial, nfa.final, delta))

@@ -402,8 +402,9 @@ def normalize(
     word at once.  Every batch of cuts at one window is re-verified by
     one ``equiv``, and every other cut and every transplant by its own,
     so exploration can fail loudly but never silently lies.
-    ``max_steps`` counts single cuts and transplants; running out of it
-    raises ResourceLimitExceeded.
+    ``max_steps`` counts single cuts and transplants; needing one more
+    once it is spent raises ResourceLimitExceeded, so a word that needs
+    k of them passes under ``max_steps = k``.
     """
     E = list(E)
     radius = k_const(family) if m is None else m
@@ -425,7 +426,7 @@ def normalize(
             cur = _cut(family, E, cur, *walked)
             walked = None
 
-    while len(steps) < max_steps:
+    while True:
         for p in points:
             if p not in inside:
                 inside[p] = u_contains(anchors, radius, p)
@@ -433,6 +434,11 @@ def normalize(
         if not offenders:
             settle()
             return NormalizeResult(cur, tuple(steps))
+        if len(steps) >= max_steps:
+            settle()
+            raise ResourceLimitExceeded(
+                f"normalization exceeded max_steps = {max_steps} steps"
+            )
         beta = offenders[-1]
         measure = (len(offenders), beta)
         if prev_measure is not None and measure >= prev_measure:
@@ -463,10 +469,6 @@ def normalize(
                 settle()
                 walked = [c1, c2]
         steps.append(f"shrink window at {eps1} exponent {nn}")
-    settle()
-    raise ResourceLimitExceeded(
-        f"normalization exceeded max_steps = {max_steps} steps"
-    )
 
 
 def _find_window(

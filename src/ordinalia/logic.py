@@ -293,28 +293,22 @@ def load_presentation(path: str) -> Presentation:
 # -- compilation -------------------------------------------------------------
 
 
-def _atom_nfa(pres: Presentation, key: tuple, aut: OrdinalAutomaton,
+def _atom_nfa(pres: Presentation, aut: OrdinalAutomaton,
               n: int, coords: tuple[int, ...]) -> gc.GapNFA:
-    cached = pres._memo.get(("atom", key, n, coords))
+    """Words over n tracks that ``aut`` accepts on the tracks ``coords``."""
+    cached = pres._memo.get(("atom", aut, n, coords))
     if cached is None:
-        # the wide alphabet has |symbols|^n letters: refuse it before reindex builds it
-        gc.check_abstract_symbols(pres.policy(), aut.alphabet.scalar, n)
-        cached = gc.to_gap_nfa(au.reindex(aut, n, coords), pres.policy())
-        pres._memo[("atom", key, n, coords)] = cached
+        cached = gc.to_gap_nfa(aut, pres.policy(), n, coords)
+        pres._memo[("atom", aut, n, coords)] = cached
     return cached
-
-
-def _domain_nfa(pres: Presentation, n: int, track: int) -> gc.GapNFA:
-    """Words whose ``track`` of n lies in the domain language."""
-    return _atom_nfa(pres, ("domain",), pres.domain, n, (track,))
 
 
 def _domain_product(pres: Presentation, n: int) -> gc.GapNFA:
     cached = pres._memo.get(("domain", n))
     if cached is None:
-        cached = _domain_nfa(pres, n, 0)
+        cached = _atom_nfa(pres, pres.domain, n, (0,))
         for track in range(1, n):
-            cached = gc.nfa_product(cached, _domain_nfa(pres, n, track))
+            cached = gc.nfa_product(cached, _atom_nfa(pres, pres.domain, n, (track,)))
         pres._memo[("domain", n)] = cached
     return cached
 
@@ -333,10 +327,10 @@ def _compile(f: Formula, pres: Presentation, ambient: tuple[str, ...]) -> gc.Gap
         if arity != len(f.vars):
             raise LogicError(f"relation {f.rel!r} expects {arity} arguments")
         coords = tuple(ambient.index(v) for v in f.vars)
-        return _atom_nfa(pres, (f.rel,), aut, n, coords)
+        return _atom_nfa(pres, aut, n, coords)
     if f.kind == "eq":
         coords = tuple(ambient.index(v) for v in f.vars)
-        return _atom_nfa(pres, ("eq",), pres.equality_automaton, n, coords)
+        return _atom_nfa(pres, pres.equality_automaton, n, coords)
     if f.kind == "and":
         return gc.nfa_product(
             _compile(f.subs[0], pres, ambient), _compile(f.subs[1], pres, ambient)
@@ -359,7 +353,7 @@ def _compile(f: Formula, pres: Presentation, ambient: tuple[str, ...]) -> gc.Gap
             raise LogicError(f"variable {f.var!r} already in scope")
         idx = inner.index(f.var)
         body = _compile(f.subs[0], pres, inner)
-        body = gc.nfa_product(body, _domain_nfa(pres, len(inner), idx))
+        body = gc.nfa_product(body, _atom_nfa(pres, pres.domain, len(inner), (idx,)))
         return gc.exists_project(body, idx)
     if f.kind == "forall":
         rewritten = Formula(

@@ -343,6 +343,14 @@ def test_normalize_step_budget_flag(flags, code, err, tmp_path, capsys):
     assert capsys.readouterr().err == err
 
 
+def test_normalize_needing_no_cut_passes_a_zero_step_budget(tmp_path, capsys):
+    path = tmp_path / "subsupp.json"
+    save_automaton(subsupp_automaton(AB), path)
+    argv = ["normalize", "-a", str(path), "-w", "len=w^2; {3:a}", "--max-steps", "0"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("len=w^2; {3:a}\n", "")
+
+
 # ---------------------------------------------------------------- growth
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordinalia import gapcode
-from ordinalia.automata import make_automaton
+from ordinalia.automata import AutomatonError, equality_automaton, make_automaton, reindex
 from ordinalia.gapcode import (
     CapPolicy,
     GapError,
@@ -298,6 +298,64 @@ def test_exists_project_matches_a_per_state_search(tracks, alpha_text, rng):
         ref, _ = reference_project(nfa, coord)
         assert (got.size, got.initial, got.final) == (ref.size, ref.initial, ref.final)
         assert list(got.delta.items()) == list(ref.delta.items())
+
+
+def test_exists_project_queues_only_gap_classes(rng, monkeypatch):
+    # a merge that reaches alpha's class stops there: g + 1 is above alpha
+    seen = []
+    add_classes = CapPolicy.add_classes
+
+    def spy(policy, x, y):
+        seen.append(tuple(x))
+        return add_classes(policy, x, y)
+
+    for alpha_text in ("w", "w^2", "w^2*3+w"):
+        alpha = parse_ordinal(alpha_text)
+        for _ in range(4):
+            aut = random_automaton(rng, max_states=3, alpha_bet=product_alphabet(AB, 2))
+            nfa = to_gap_nfa(aut, cap_policy([aut], alpha))
+            seen.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(CapPolicy, "add_classes", spy)
+                got = exists_project(nfa, 1)
+            assert seen and all(("gap", acc) in nfa.delta for acc in seen)
+            ref, _ = reference_project(nfa, 1)
+            assert list(got.delta.items()) == list(ref.delta.items())
+
+
+LAYOUTS = [
+    (2, 2, (1, 0)),  # swapped tracks
+    (2, 3, (2, 0)),  # an unmentioned track
+    (2, 1, (0, 0)),  # both tracks read one
+    (1, 1, (0,)),  # the automaton's own layout
+    (1, 3, (1,)),  # a scalar automaton onto a wide arity
+]
+
+
+@pytest.mark.parametrize("tracks, arity, coords", LAYOUTS)
+def test_to_gap_nfa_lifts_like_reindex(tracks, arity, coords, rng):
+    alpha_bet = product_alphabet(AB, 2) if tracks == 2 else AB
+    auts = [random_automaton(rng, max_states=3, alpha_bet=alpha_bet) for _ in range(4)]
+    if tracks == 2:
+        auts.append(equality_automaton(AB))
+    for aut in auts:
+        pol = cap_policy([aut], rng.choice([W2, parse_ordinal("w^2*3+w")]))
+        got = to_gap_nfa(aut, pol, arity, coords)
+        want = to_gap_nfa(reindex(aut, arity, coords), pol)
+        assert got.alphabet == want.alphabet
+        assert (got.size, got.initial, got.final) == (want.size, want.initial, want.final)
+        assert list(got.delta.items()) == list(want.delta.items())
+
+
+@pytest.mark.parametrize("arity, coords", [(2, (0,)), (3, (0, 3)), (2, (-1, 0))])
+def test_to_gap_nfa_refuses_a_bad_layout_like_reindex(arity, coords):
+    aut = equality_automaton(AB)
+    pol = cap_policy([aut], W2)
+    with pytest.raises(AutomatonError) as want:
+        reindex(aut, arity, coords)
+    with pytest.raises(AutomatonError) as got:
+        to_gap_nfa(aut, pol, arity, coords)
+    assert str(got.value) == str(want.value)
 
 
 def full_box_nfa(aut, policy):

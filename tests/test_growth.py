@@ -373,10 +373,13 @@ def _single_step_normalize(family, E, v, m=None, max_steps=64):
     radius = k_const(family) if m is None else m
     anchors = frozenset().union(*(support(e) for e in E)) | {v.length}
     cur, steps, prev = v, [], None
-    for _ in range(max_steps):
+    while True:
         offenders = sorted(p for p in support(cur) if not u_contains(anchors, radius, p))
         if not offenders:
             return NormalizeResult(cur, tuple(steps))
+        if len(steps) >= max_steps:
+            raise ResourceLimitExceeded(
+                f"normalization exceeded max_steps = {max_steps} steps")
         beta = offenders[-1]
         if prev is not None and (len(offenders), beta) >= prev:
             raise GrowthError("normalization stopped making progress")
@@ -389,7 +392,6 @@ def _single_step_normalize(family, E, v, m=None, max_steps=64):
             n, start = window
             cur = shrink_gap(family, E, cur, start, n)
             steps.append(f"shrink window at {start} exponent {n}")
-    raise ResourceLimitExceeded(f"normalization exceeded max_steps = {max_steps} steps")
 
 
 def _outcome(run):
@@ -433,7 +435,8 @@ def test_batched_cuts_match_the_single_step_loop(rng):
             assert batched == single, (aut, v, E, m, max_steps)
             outcomes.append(single)
             if max_steps == 8192 and isinstance(single, NormalizeResult):
-                budgets.append(len(single.steps))  # the budget runs out at the last cut
+                # one short of the cuts runs out at the last cut; exactly them is enough
+                budgets += [len(single.steps) - 1, len(single.steps)]
     finished = [o for o in outcomes if isinstance(o, NormalizeResult)]
     assert sum(len(o.steps) > 20 for o in finished) >= 5
     assert ("ResourceLimitExceeded",) in {o[:1] for o in outcomes if o not in finished}

@@ -6,14 +6,18 @@ the battery is an ordinary arithmetic fact that can be checked by eye.
 
 import pytest
 
+from ordinalia import automata
 from ordinalia.examples import (
+    AB,
     PRESBURGER_SENTENCES,
     decode_natural,
     encode_natural,
     presburger_presentation,
+    wellorder_automaton,
 )
 from ordinalia.logic import (
     LogicError,
+    Presentation,
     compile_formula,
     decide,
     find_witness,
@@ -25,6 +29,7 @@ from ordinalia.logic import (
     presentation_to_dict,
     save_presentation,
 )
+from ordinalia.ordinals import parse_ordinal
 
 SIG = {"Plus": 3, "=": 2}
 
@@ -107,6 +112,24 @@ def test_decide_handles_boolean_sentence_structure(pres):
     assert decide(parse_formula(f"(or {f} {t})", SIG), pres)
     assert decide(parse_formula(f"(-> {f} {f})", SIG), pres)
     assert not decide(parse_formula(f"(-> {t} {f})", SIG), pres)
+
+
+def test_decide_never_reindexes(monkeypatch):
+    # atoms are lifted onto their tracks inside the gap-NFA layer
+    def refused(*args):
+        raise AssertionError("decide built a reindexed automaton")
+
+    monkeypatch.setattr(automata, "reindex", refused)
+    everything = automata.make_automaton({"d"}, AB, {"d"}, {"d"},
+                                         {("d", s): {"d"} for s in AB.symbols},
+                                         {frozenset({"d"}): {"d"}})
+    order = Presentation(parse_ordinal("w^2"), everything,
+                         {"Le": (2, wellorder_automaton(AB))})
+    antisymmetric = "(forall x (forall y (-> (and (Le x y) (Le y x)) (= x y))))"
+    assert decide(parse_formula(antisymmetric, order.signature), order) is True
+    arithmetic = presburger_presentation()
+    commutative = "(forall x (forall y (forall z (-> (Plus x y z) (Plus y x z)))))"
+    assert decide(parse_formula(commutative, arithmetic.signature), arithmetic) is True
 
 
 def test_decide_rejects_open_formulas(pres):

@@ -17,8 +17,13 @@ word is equivalent to one whose support lies in the neighborhood
 ``U_m`` of the parameter supports, computed by repeatedly cutting
 pumpable stretches out of oversized gaps (the cut points come from a
 pigeonhole on run relations, so equivalence is preserved exactly).
-Cuts into blank windows are walked on the support points alone, and
-every batch of cuts at one window is re-verified by one ``equiv``.
+Cuts into blank windows are walked on the support points alone, a whole
+run of them in one leap: each cut of a run lowers one coefficient of
+the moving points by the period, and the leap ends where a neighborhood
+test, the window choice or the blank prefix could first change, which
+the coefficients of the anchors and the other points fix in closed
+form.  Every batch of cuts at one window is re-verified by one
+``equiv``.
 """
 
 from __future__ import annotations
@@ -398,6 +403,16 @@ def normalize(
     When the first blocks of a window are blank, its prefix relations
     are powers of the blank block relation, so its cut is known without
     building a word: such cuts are walked on the support points alone.
+    A run of them is made in one leap.  Each cut of the run lowers the
+    window's coefficient of every point past the cut, and of the window
+    start, by the period of the blank blocks, and every test the loop
+    makes depends on that coefficient only through comparisons with
+    the same coefficient of the anchors and of the points that stay
+    put (and with 0 and the radius).  So the leap makes, at once, as
+    many cuts as the budget allows before some moving coefficient meets
+    one of those critical values; the next leap starts from there.  A
+    run costs a few leaps, however large its coefficients, and still
+    emits one ``steps`` entry per cut.
     Walked cuts that meet end to start make one stretch, cut out of the
     word at once.  Every batch of cuts at one window is re-verified by
     one ``equiv``, and every other cut and every transplant by its own,
@@ -458,17 +473,65 @@ def normalize(
             settle()
             cur = shrink_gap(family, E, cur, eps1, nn)
             points = sorted_support(cur)
+            steps.append(f"shrink window at {eps1} exponent {nn}")
+            continue
+        c1, c2 = cut
+        end = add(eps1, omega_power(nn + 1))
+        period = repeats[nn][1] - repeats[nn][0]
+        moving = [p for p in points if c2 <= p < end]
+        fixed = [*anchors, *(p for p in points if not c2 <= p < end)]
+        k = _run_length(moving, fixed, nn, period, radius, max_steps - len(steps))
+        points = [_lower(p, nn, k * period) if c2 <= p < end else p for p in points]
+        c1 = _lower(c1, nn, (k - 1) * period)  # where the last of the k cuts starts
+        if walked is not None and walked[0] == c2:
+            walked[0] = c1  # these cuts end where the walked ones begin
         else:
-            c1, c2 = cut
-            end = add(eps1, omega_power(nn + 1))
-            points = [add(c1, interval_type(c2, p)) if c2 <= p < end else p
-                      for p in points]
-            if walked is not None and walked[0] == c2:
-                walked[0] = c1  # this cut ends where the walked ones begin
-            else:
-                settle()
-                walked = [c1, c2]
-        steps.append(f"shrink window at {eps1} exponent {nn}")
+            settle()
+            walked = [c1, c2]
+        steps += _cut_texts(eps1, nn, period, k)
+        prev_measure = (len(offenders), _lower(beta, nn, (k - 1) * period))
+
+
+def _lower(o: Ordinal, n: int, d: int) -> Ordinal:
+    """o with its coefficient at exponent n lowered by d."""
+    if not d:
+        return o
+    return Ordinal(o.coeffs[:n] + (o.coeffs[n] - d,) + o.coeffs[n + 1 :])
+
+
+def _run_length(moving: Sequence[Ordinal], fixed: Iterable[Ordinal], n: int,
+                period: int, radius: int, budget: int) -> int:
+    """How many cuts of ``period`` blocks at exponent n the loop makes in
+    a row, at most ``budget``, before any of its tests may change.
+
+    Each cut lowers the n-th coefficient x of every moving point by the
+    period.  The tests compare x only with the critical values 0,
+    radius - 1...radius + 1 and, for each fixed ordinal q (anchor, length
+    or non-moving point), q_n - 1...q_n + 1 and q_n + radius - 1...q_n +
+    radius + 1, so they cannot change while every x stays strictly
+    between the same two of them; a critical x gets a cut of its own."""
+    marks = {0, radius - 1, radius, radius + 1}
+    for q in fixed:
+        c = q.coefficient(n)
+        marks.update((c - 1, c, c + 1, c + radius - 1, c + radius, c + radius + 1))
+    extra = budget - 1
+    for p in moving:
+        x = p.coefficient(n)
+        below = max(c for c in marks if c <= x)
+        extra = min(extra, max(x - below - 1, 0) // period)
+    return extra + 1
+
+
+def _cut_texts(eps1: Ordinal, n: int, period: int, k: int) -> list[str]:
+    """The ``steps`` entries of k cuts at exponent n whose windows start
+    at eps1, eps1 - w^n * period, ...: only eps1's last term changes."""
+    if k == 1:
+        return [f"shrink window at {eps1} exponent {n}"]
+    # in a run of k > 1 cuts every start coefficient is 3 or more, so it
+    # prints as the last number of the start
+    top = eps1.coeffs[n]
+    head = str(eps1)[: -len(str(top))]
+    return [f"shrink window at {head}{top - i * period} exponent {n}" for i in range(k)]
 
 
 def _find_window(

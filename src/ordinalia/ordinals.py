@@ -68,7 +68,7 @@ class Ordinal:
     # -- order ----------------------------------------------------------
 
     def _key(self) -> tuple:
-        return (len(self.coeffs), tuple(reversed(self.coeffs)))
+        return (len(self.coeffs), self.coeffs[::-1])
 
     def __lt__(self, other: "Ordinal") -> bool:
         return self._key() < other._key()

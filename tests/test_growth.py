@@ -491,3 +491,73 @@ def test_a_batched_cut_that_fails_verification_is_loud(monkeypatch):
     with pytest.raises(GrowthError, match="shrink failed re-verification"):
         normalize(fam, [], v, max_steps=4096)
 
+
+# ------------------------------------------------------------ leaps
+
+
+def _around(rng, x, radius):
+    """A coefficient near one where a leap must end: next to x itself, or
+    next to where x falls within the radius of it, or a little past."""
+    d = rng.choice([-1, 0, 1, 0, rng.randint(2, 12)])
+    return max(0, x - rng.choice([0, radius]) - d)
+
+
+def test_leaps_match_the_single_step_loop(rng):
+    # 2-4 points share one window, so they move together; anchors and
+    # further points sit at their coefficients or a radius below, give
+    # or take one, so runs end on a window change, a point entering the
+    # cut, a neighborhood boundary, the budget and the end of the work
+    pair = product_alphabet(AB, 2)
+    letters = sorted(AB.symbols - {AB.blank})
+    outcomes = []
+    for _ in range(24):
+        two = rng.random() < 0.5
+        aut = random_automaton(rng, max_states=2, alpha_bet=pair if two else AB)
+        m = rng.choice([None, 3, 4, 6])
+        radius = k_const(RelationFamily((aut,), W3)) if m is None else m
+        # a length with low terms does not repeat the marks 0 and radius
+        lows = tuple(rng.randint(1, radius + 9) for _ in range(3))
+        alpha = rng.choice([W3, Ordinal(lows + (1,))])
+        fam = RelationFamily((aut,), alpha)
+        n = rng.randint(0, 2)
+        high = tuple(rng.randint(0, 3) for _ in range(2 - n))
+        xs = [radius + rng.randint(0, 30) for _ in range(rng.randint(2, 4))]
+        window = {Ordinal(tuple(rng.randint(0, radius + 6) for _ in range(n)) + (x,) + high)
+                  for x in xs}
+        others = {Ordinal((0,) * n + (_around(rng, max(xs), radius),) + high)
+                  for _ in range(rng.randint(0, 2))}
+        v = make_word(alpha, [(p, rng.choice(letters)) for p in window | others], AB)
+        anchors = {Ordinal((0,) * n + (_around(rng, rng.choice(xs), radius),) + high)
+                   for _ in range(rng.randint(0, 2))} - window - others
+        E = [make_word(alpha, [(p, rng.choice(letters)) for p in anchors], AB)]
+        budgets = [rng.randint(1, 40), 8192]
+        for max_steps in budgets:
+            leaped = _outcome(lambda: normalize(fam, E, v, m, max_steps))
+            single = _outcome(lambda: _single_step_normalize(fam, E, v, m, max_steps))
+            assert leaped == single, (aut, v, E, m, max_steps)
+            outcomes.append(single)
+            if max_steps == 8192 and isinstance(single, NormalizeResult):
+                budgets += [len(single.steps) - 1, len(single.steps)]
+    finished = [o for o in outcomes if isinstance(o, NormalizeResult)]
+    assert sum(len(o.steps) > 20 for o in finished) >= 5
+    assert ("ResourceLimitExceeded",) in {o[:1] for o in outcomes if o not in finished}
+
+
+def test_a_run_of_cuts_costs_the_same_whatever_its_length(monkeypatch):
+    # the neighborhood tests of a run of cuts do not grow with its length
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return u_contains(*args)
+
+    monkeypatch.setattr(growth, "u_contains", counted)
+    counts, lengths = [], []
+    for point in ("w*40+30", "w*40+30000"):
+        calls.clear()
+        v = make_word(W2, [(parse_ordinal(point), "a")], AB)
+        res = normalize(one_state_family(), [], v, max_steps=65536)
+        counts.append(len(calls))
+        lengths.append(len(res.steps))
+    assert counts[0] == counts[1]
+    assert lengths[1] - lengths[0] == 29_970

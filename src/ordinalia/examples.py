@@ -63,19 +63,6 @@ AB = alphabet({"a", "b"})
 # -- comparison relations ----------------------------------------------------
 
 
-def compare_words(x: AlphaWord, y: AlphaWord) -> int:
-    """-1/0/1 with the largest differing position deciding; blank least."""
-    if x.length != y.length or x.alphabet != y.alphabet:
-        raise WordError("compare_words needs words of one length and alphabet")
-    diffs = [p for p in {q for q, _ in x.entries} | {q for q, _ in y.entries}
-             if x.at(p) != y.at(p)]
-    if not diffs:
-        return 0
-    top = max(diffs)
-    rank = symbol_rank(x.alphabet)
-    return -1 if rank[x.at(top)] < rank[y.at(top)] else 1
-
-
 def wellorder_automaton(base: Alphabet) -> OrdinalAutomaton:
     """Binary relation x <= y in the largest-differing-position order.
 

@@ -12,6 +12,7 @@ keeps downstream counting arguments honest about their ranges.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -149,10 +150,43 @@ _TERM = re.compile(
 )
 
 
+#: Distinct literals ``parse_ordinal`` remembers.  A word file repeats a
+#: few hundred position literals across thousands of entries.
+PARSE_CACHE_SIZE = 4096
+
+
+def _numeral(digits: str, limit: int, what: str) -> int:
+    """The value of a decimal numeral, or ``OrdinalError`` above ``limit``.
+
+    A numeral with more significant digits than ``limit`` is refused
+    before ``int`` sees it: ``int`` refuses numerals past Python's digit
+    limit with a plain ``ValueError``.  The message is the same either
+    way, since the significant digits are the value's decimal text.
+    """
+    if not digits.isascii():  # ``\d`` matches the digits of every script
+        digits = "".join(str(int(ch)) for ch in digits)
+    significant = digits.lstrip("0") or "0"
+    if len(significant) > len(str(limit)):
+        raise OrdinalError(f"{what} overflow: {significant}")
+    value = int(significant)
+    if value > limit:
+        raise OrdinalError(f"{what} overflow: {value}")
+    return value
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_ordinal(text: str) -> Ordinal:
     """Parse ``0 | term (+ term)*`` where a term is one of
     ``w^k*m``, ``w^k``, ``w*m``, ``w``, ``m``.  Exponents must strictly
     decrease left to right.  Whitespace is ignored.
+
+    Results are memoized by ``text`` (``PARSE_CACHE_SIZE`` entries);
+    ``Ordinal`` is frozen, so callers may share them.  A malformed or
+    overflowing literal raises on every call, since no exception is
+    cached.  The limits ``MAX_COEFF`` and ``MAX_EXPONENT`` are read at
+    parse time, so code that changes them must call
+    ``parse_ordinal.cache_clear()`` first, or a cached result bypasses
+    the new limit.
     """
     squeezed = re.sub(r"\s+", "", text)
     if not squeezed:
@@ -164,17 +198,13 @@ def parse_ordinal(text: str) -> Ordinal:
         if m is None:
             raise OrdinalError(f"bad ordinal term: {part!r}")
         if m.group("nat") is not None:
-            exp, coeff = 0, int(m.group("nat"))
+            exp, digits = 0, m.group("nat")
         elif m.group("exp") is not None:
-            exp = int(m.group("exp"))
-            coeff = int(m.group("c1")) if m.group("c1") else 1
+            exp = _numeral(m.group("exp"), MAX_EXPONENT, "exponent")
+            digits = m.group("c1")
         else:
-            exp = 1
-            coeff = int(m.group("c2")) if m.group("c2") else 1
-        if exp > MAX_EXPONENT:
-            raise OrdinalError(f"exponent overflow: {exp}")
-        if coeff > MAX_COEFF:
-            raise OrdinalError(f"coefficient overflow: {coeff}")
+            exp, digits = 1, m.group("c2")
+        coeff = _numeral(digits, MAX_COEFF, "coefficient") if digits else 1
         if last_exp is not None and exp >= last_exp:
             raise OrdinalError(
                 f"exponents must strictly decrease: w^{exp} after w^{last_exp}"

@@ -103,18 +103,26 @@ class AlphaWord:
 def make_word(
     length: Ordinal, entries: Iterable[tuple[Ordinal, Symbol]], alpha_bet: Alphabet
 ) -> AlphaWord:
-    seen: dict[Ordinal, Symbol] = {}
+    """The word of ``length`` with the given entries, blanks dropped.
+
+    Every symbol must be in the alphabet, every position below
+    ``length``, and no non-blank position may repeat.  Each position's
+    order key is computed once: it serves the range check, the
+    duplicate check (equal ordinals have equal keys) and the sort.
+    """
+    seen: dict[tuple, tuple[Ordinal, Symbol]] = {}
+    length_key = length._key()
     for pos, sym in entries:
         if sym not in alpha_bet.symbols:
             raise WordError(f"symbol {sym!r} not in alphabet")
-        if not pos < length:
+        key = pos._key()
+        if not key < length_key:
             raise WordError(f"entry position {pos} not below length {length}")
-        if pos in seen:
+        if key in seen:
             raise WordError(f"duplicate entry at {pos}")
         if sym != alpha_bet.blank:
-            seen[pos] = sym
-    ordered = tuple(sorted(seen.items(), key=lambda e: e[0]._key()))
-    return AlphaWord(length, alpha_bet, ordered)
+            seen[key] = (pos, sym)
+    return AlphaWord(length, alpha_bet, tuple(seen[key] for key in sorted(seen)))
 
 
 def blank_word(length: Ordinal, alpha_bet: Alphabet) -> AlphaWord:

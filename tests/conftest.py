@@ -33,8 +33,8 @@ def rng(request):
 # -- generators -----------------------------------------------------------
 
 
-def random_automaton(rng, max_states=4, alpha_bet=AB, limit_density=0.5):
-    n = rng.randint(1, max_states)
+def random_automaton(rng, max_states=4, alpha_bet=AB, limit_density=0.5, min_states=1):
+    n = rng.randint(min_states, max_states)
     states = [f"q{i}" for i in range(n)]
     succ = {}
     for q in states:

@@ -76,6 +76,20 @@ def test_member_malformed_word_is_a_usage_error(eq_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("prefix, kind", [("w^", "exponent"), ("", "coefficient")],
+                         ids=["exponent", "length"])
+def test_member_numeral_past_the_int_digit_limit_is_a_usage_error(
+        eq_path, prefix, kind, tmp_path, capsys):
+    nines = "9" * 5000
+    message = f"{kind} overflow: {nines}"
+    out = tmp_path / "r.json"
+    argv = ["member", "-a", eq_path, "-w", f"len={prefix}{nines}; {{}}"]
+    assert main(argv + ["--json-out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    error = {"exit": 2, "type": "OrdinalError", "message": message}
+    assert json.loads(out.read_text())["error"] == error
+
+
 @pytest.mark.parametrize("mangle", [
     lambda d: {**d, "succ": [d["succ"][0][:2]]},
     lambda d: [d],

@@ -12,7 +12,6 @@ from ordinalia.examples import (
     BITS,
     W2,
     accepted_count,
-    compare_words,
     decode_natural,
     dn_set,
     encode_natural,
@@ -28,7 +27,15 @@ from ordinalia.examples import (
 )
 from ordinalia.ordinals import ZERO, from_int, parse_ordinal
 from ordinalia.semantics import member
-from ordinalia.words import blank_word, convolve, make_word, support, word_sort_key
+from ordinalia.words import (
+    WordError,
+    blank_word,
+    convolve,
+    make_word,
+    support,
+    symbol_rank,
+    word_sort_key,
+)
 
 from conftest import random_finite_word
 
@@ -144,6 +151,23 @@ def test_generator_relations_use_image_first_track_order():
 
 
 # ------------------------------------------------------------ order/support
+
+
+def compare_words(x, y) -> int:
+    """-1/0/1 with the largest differing position deciding; blank least.
+
+    The oracle for ``wellorder_automaton``: it reads symbols one position
+    at a time and shares no code with the automaton or ``word_sort_key``.
+    """
+    if x.length != y.length or x.alphabet != y.alphabet:
+        raise WordError("compare_words needs words of one length and alphabet")
+    diffs = [p for p in {q for q, _ in x.entries} | {q for q, _ in y.entries}
+             if x.at(p) != y.at(p)]
+    if not diffs:
+        return 0
+    top = max(diffs)
+    rank = symbol_rank(x.alphabet)
+    return -1 if rank[x.at(top)] < rank[y.at(top)] else 1
 
 
 def test_wellorder_automaton_matches_position_comparison(rng):

@@ -4,6 +4,9 @@ The Presburger presentation is the workhorse here because every sentence in
 the battery is an ordinary arithmetic fact that can be checked by eye.
 """
 
+import itertools
+import random
+
 import pytest
 
 from ordinalia import automata
@@ -29,7 +32,10 @@ from ordinalia.logic import (
     presentation_to_dict,
     save_presentation,
 )
-from ordinalia.ordinals import parse_ordinal
+from ordinalia.ordinals import from_int, parse_ordinal
+from ordinalia.words import product_alphabet
+
+from conftest import classical_accepts, random_automaton
 
 SIG = {"Plus": 3, "=": 2}
 
@@ -286,3 +292,93 @@ def test_presentation_file_round_trip(pres, tmp_path):
     back = load_presentation(path)
     assert decide(parse_formula("(exists x (Plus x x x))", SIG), back)
     assert not decide(parse_formula("(forall x (Plus x x x))", SIG), back)
+
+
+# ---------------------------------------------------------------- finite-length oracle
+#
+# At a finite length n every presentation is a finite structure: its
+# domain is the accepted words among the 3^n words over {_, a, b}.  So a
+# sentence can be evaluated by brute force over that domain, with the
+# relations read by plain NFA simulation (conftest.classical_accepts).
+# Nothing here shares code with the gap-NFA pipeline behind decide().
+# The counts keep the test under a second: about one random sentence in
+# 200 takes seconds to decide, because each projection keeps its states
+# and every product with the domain triples them (ROADMAP item 8).
+
+ORACLE_VARS = ("x", "y", "z")
+ORACLE_DEPTH = 5
+
+
+def _random_sentence(rng, scope=(), depth=ORACLE_DEPTH):
+    """A formula tree with every variable bound, at most ORACLE_DEPTH deep."""
+    free = [v for v in ORACLE_VARS if v not in scope]
+    choices = (["atom"] * 2 if scope else []) + (["not", "bin"] if scope and depth > 1 else [])
+    if free and depth > 1:
+        choices += ["quant"] * (3 if not scope else 1)
+    kind = rng.choice(choices)
+    if kind == "quant":
+        var = rng.choice(free)
+        return (rng.choice(["exists", "forall"]), var,
+                _random_sentence(rng, scope + (var,), depth - 1))
+    if kind == "not":
+        return ("not", _random_sentence(rng, scope, depth - 1))
+    if kind == "bin":
+        return (rng.choice(["and", "or", "->"]),
+                _random_sentence(rng, scope, depth - 1),
+                _random_sentence(rng, scope, depth - 1))
+    rel = rng.choice(["P", "R", "="])
+    args = [rng.choice(scope) for _ in range(1 if rel == "P" else 2)]
+    return (rel, *args)
+
+
+def _sentence_text(t) -> str:
+    if t[0] in ("exists", "forall"):
+        return f"({t[0]} {t[1]} {_sentence_text(t[2])})"
+    if t[0] in ("not", "and", "or", "->"):
+        return "(" + " ".join([t[0]] + [_sentence_text(s) for s in t[1:]]) + ")"
+    return "(" + " ".join(t) + ")"
+
+
+def _brute_force(t, domain, holds, env=None) -> bool:
+    env = env or {}
+    head = t[0]
+    if head == "exists":
+        return any(_brute_force(t[2], domain, holds, {**env, t[1]: w}) for w in domain)
+    if head == "forall":
+        return all(_brute_force(t[2], domain, holds, {**env, t[1]: w}) for w in domain)
+    if head == "not":
+        return not _brute_force(t[1], domain, holds, env)
+    if head in ("and", "or", "->"):
+        a = _brute_force(t[1], domain, holds, env)
+        b = _brute_force(t[2], domain, holds, env)
+        return {"and": a and b, "or": a or b, "->": (not a) or b}[head]
+    return holds(head, tuple(env[v] for v in t[1:]))
+
+
+@pytest.mark.parametrize("length, presentations, sentences", [(3, 4, 40), (4, 4, 15)])
+def test_decide_agrees_with_brute_force_at_finite_lengths(length, presentations, sentences):
+    rng = random.Random(20140 + length)
+    pair = product_alphabet(AB, 2)
+    everything = list(itertools.product(sorted(AB.symbols), repeat=length))
+    for _ in range(presentations):
+        domain_aut, unary, binary = (
+            random_automaton(rng, max_states=3, alpha_bet=a, min_states=3)
+            for a in (AB, AB, pair))
+        pres = Presentation(from_int(length), domain_aut,
+                            {"P": (1, unary), "R": (2, binary)})
+        domain = [w for w in everything if classical_accepts(domain_aut, w)]
+        table = {}
+
+        def holds(rel, words):
+            if rel == "=":
+                return words[0] == words[1]
+            if (rel, words) not in table:
+                syms = words[0] if rel == "P" else list(zip(*words))
+                table[rel, words] = classical_accepts(unary if rel == "P" else binary, syms)
+            return table[rel, words]
+
+        for _ in range(sentences):
+            tree = _random_sentence(rng)
+            text = _sentence_text(tree)
+            expected = _brute_force(tree, domain, holds)
+            assert decide(parse_formula(text, pres.signature), pres) is expected, text

@@ -140,3 +140,79 @@ def test_interval_type_examples():
 @settings(max_examples=40)
 def test_format_parse_round_trip_random(a):
     assert parse_ordinal(format_ordinal(a)) == a
+
+
+# -- the parse memo and over-long numerals ----------------------------------
+
+
+@pytest.fixture
+def fresh_parse_cache():
+    """Clear the memo around a test that changes a parse limit: a result
+    cached under one limit would otherwise bypass the other."""
+    parse_ordinal.cache_clear()
+    yield
+    parse_ordinal.cache_clear()
+
+
+def test_a_malformed_literal_raises_on_every_call():
+    for bad in ["w+w^2", "2w", "", "w^"]:
+        for _ in range(2):
+            with pytest.raises(OrdinalError):
+                parse_ordinal(bad)
+
+
+@given(ordinals, st.lists(st.sampled_from([" ", "\t", "\n"]), max_size=6), st.randoms())
+@settings(max_examples=40)
+def test_parse_ignores_whitespace_through_the_memo(a, blanks, rnd):
+    chars = list(format_ordinal(a))
+    for blank in blanks:
+        chars.insert(rnd.randint(0, len(chars)), blank)
+    text = "".join(chars)
+    assert parse_ordinal(text) == a
+    assert parse_ordinal(text) == a  # a cache hit
+
+
+@pytest.mark.parametrize("template, kind", [
+    ("w^{}", "exponent"),
+    ("w^{}*2", "exponent"),
+    ("w^2*{}", "coefficient"),
+    ("w*{}", "coefficient"),
+    ("w+{}", "coefficient"),
+    ("{}", "coefficient"),
+])
+def test_numerals_past_the_int_digit_limit_overflow(template, kind):
+    nines = "9" * 5000
+    with pytest.raises(OrdinalError) as exc:
+        parse_ordinal(template.format(nines))
+    assert str(exc.value) == f"{kind} overflow: {nines}"
+
+
+def test_overflow_messages_name_the_value():
+    with pytest.raises(OrdinalError, match=f"^coefficient overflow: {MAX_COEFF + 1}$"):
+        parse_ordinal(f"w*{MAX_COEFF + 1}")
+    with pytest.raises(OrdinalError, match=f"^coefficient overflow: {MAX_COEFF * 10}$"):
+        parse_ordinal(f"w*00{MAX_COEFF * 10}")
+    with pytest.raises(OrdinalError, match=f"^exponent overflow: {MAX_EXPONENT + 1}$"):
+        parse_ordinal(f"w^{MAX_EXPONENT + 1}*{MAX_COEFF + 1}")
+    with pytest.raises(OrdinalError, match="^exponent overflow: 10000000$"):
+        parse_ordinal("w^10000000")
+    assert parse_ordinal(str(MAX_COEFF)) == from_int(MAX_COEFF)
+
+
+def test_leading_zeros_do_not_count_toward_a_numeral_length():
+    zeros = "0" * 5000
+    assert parse_ordinal(f"w^{zeros}2*{zeros}3+{zeros}7") == Ordinal((7, 0, 3))
+    assert parse_ordinal(zeros) == ZERO
+    assert parse_ordinal("\u0660" * 30 + "\u0665") == from_int(5)  # Arabic-Indic 0 and 5
+
+
+def test_a_patched_limit_applies_after_a_cache_clear(fresh_parse_cache, monkeypatch):
+    assert parse_ordinal("w^3*9") == Ordinal((0, 0, 0, 9))
+    monkeypatch.setattr("ordinalia.ordinals.MAX_COEFF", 8)
+    monkeypatch.setattr("ordinalia.ordinals.MAX_EXPONENT", 2)
+    assert parse_ordinal("w^3*9").coeffs == (0, 0, 0, 9)  # the stale memo
+    parse_ordinal.cache_clear()
+    with pytest.raises(OrdinalError, match="^exponent overflow: 3$"):
+        parse_ordinal("w^3*9")
+    with pytest.raises(OrdinalError, match="^coefficient overflow: 9$"):
+        parse_ordinal("w^2*9")

@@ -87,6 +87,23 @@ def test_parse_word_rejects_out_of_range_entries():
         parse_word("len=w; {w:a}", AB)
 
 
+def test_out_of_range_message_names_the_position_and_the_length():
+    for _ in range(2):  # the second parse reads memoized ordinals
+        with pytest.raises(WordError) as exc:
+            parse_word("len=w^2; {3:a, w^2+1:b}", AB)
+        assert str(exc.value) == "entry position w^2+1 not below length w^2"
+
+
+@pytest.mark.parametrize("text", [
+    "len=w^2; {w+1:a, 2:b, w + 1:b}",
+    "len=w^2; {w+1:a, w*1+1:a}",
+])
+def test_one_position_spelt_twice_is_a_duplicate(text):
+    for _ in range(2):
+        with pytest.raises(WordError, match=r"^duplicate entry at w\+1$"):
+            parse_word(text, AB)
+
+
 @given(sparse_words())
 def test_literal_round_trip(w):
     assert parse_word(format_word(w), AB) == w

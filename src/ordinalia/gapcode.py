@@ -21,7 +21,6 @@ the others.  Complements are minimal DFAs.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -31,12 +30,12 @@ from .ordinals import ONE, Ordinal
 from .semantics import (
     ResourceLimitExceeded,
     bits,
+    blank_shape,
     compiled,
     compose,
     const_reach,
     identity_relation,
     image,
-    power_cycle,
 )
 from .words import (
     Alphabet,
@@ -169,18 +168,9 @@ def cap_policy(working: Iterable[OrdinalAutomaton], alpha: Ordinal) -> CapPolicy
     bases = {aut.alphabet.scalar for aut in auts}
     if len(bases) > 1:
         raise GapError("cap_policy: automata must share a base alphabet")
-    thresholds: list[int] = []
-    periods: list[int] = []
-    for j in range(alpha.degree + 1):
-        lam = alpha.coefficient(j) + 1
-        pi = 1
-        for aut in auts:
-            al, ap = power_cycle(aut, aut.alphabet.blank, j)
-            lam = max(lam, al)
-            pi = math.lcm(pi, ap)
-        thresholds.append(lam)
-        periods.append(pi)
-    return CapPolicy(alpha, tuple(thresholds), tuple(periods))
+    shapes = [blank_shape(auts, j) for j in range(alpha.degree + 1)]
+    lams = (max(lam, alpha.coefficient(j) + 1) for j, (lam, _) in enumerate(shapes))
+    return CapPolicy(alpha, tuple(lams), tuple(pi for _, pi in shapes))
 
 
 # -- abstract words and gap NFAs ---------------------------------------------
@@ -279,9 +269,8 @@ def accepts_word(nfa: GapNFA, w: AlphaWord) -> bool:
 
 
 def _check_coverage(aut: OrdinalAutomaton, policy: CapPolicy) -> None:
-    blank = aut.alphabet.blank
     for j in range(policy.alpha.degree + 1):
-        al, ap = power_cycle(aut, blank, j)
+        al, ap = blank_shape([aut], j)
         if al > policy.thresholds[j] or policy.periods[j] % ap != 0:
             raise GapError(
                 f"cap policy too coarse for automaton at exponent {j}: "
@@ -423,7 +412,7 @@ def determinize(nfa: GapNFA) -> GapNFA:
             out.append(_bit(subsets, index, nfa.step(cur, gs)))
             if len(subsets) > MAX_DFA_STATES:
                 raise ResourceLimitExceeded(
-                    f"determinization exceeded {MAX_DFA_STATES} states"
+                    f"determinization exceeded {MAX_DFA_STATES} states (MAX_DFA_STATES)"
                 )
     final = sum(1 << at for at, subset in enumerate(subsets) if subset & nfa.final)
     delta = {gs: tuple(out) for gs, out in rows.items()}
@@ -552,8 +541,8 @@ def exists_project(nfa: GapNFA, coord: int) -> GapNFA:
                 pairs[q] += row.bit_count()
                 if pairs[q] > MAX_MERGE_PAIRS:
                     raise ResourceLimitExceeded(
-                        "gap-merge search exceeded "
-                        f"{MAX_MERGE_PAIRS} (state, class) pairs"
+                        f"gap-merge search exceeded {MAX_MERGE_PAIRS} "
+                        "(state, class) pairs (MAX_MERGE_PAIRS)"
                     )
             nxt = policy.add_classes(total, one)
             erased = compose(fresh, erase) if ("gap", nxt) in nfa.delta else nothing

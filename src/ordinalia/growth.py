@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 from .automata import OrdinalAutomaton
 from .ordinals import ONE, ZERO, Ordinal, add, interval_type, omega_power
-from .semantics import ResourceLimitExceeded, member, run_relation
+from .semantics import ResourceLimitExceeded, blank_shape, member, run_relation
 from .words import (
     AlphaWord,
     blank_word,
@@ -270,7 +270,8 @@ def bound_u(X: Iterable[Ordinal], m: int, rounds: int, bound: Ordinal) -> int:
     high parts — the smallness that makes linear growth bounds tick.
     """
     if m > U_BOUND_MAX:
-        raise ResourceLimitExceeded(f"bound evaluation needs m <= {U_BOUND_MAX}")
+        raise ResourceLimitExceeded(
+            f"bound evaluation needs m <= {U_BOUND_MAX} (U_BOUND_MAX)")
     pool = {*X, bound}
     c = max(
         (o.coefficient(j) for o in pool for j in range(min(m, o.degree) + 1)),
@@ -306,9 +307,8 @@ def _first_repeat(
         if rels in seen:
             return seen[rels], j
         seen[rels] = j
-    raise ResourceLimitExceeded(
-        f"no repeated segment relation within {SHRINK_MAX_STEPS} steps"
-    )
+    raise ResourceLimitExceeded("no repeated segment relation within "
+                                f"{SHRINK_MAX_STEPS} steps (SHRINK_MAX_STEPS)")
 
 
 def _cut(family: RelationFamily, E: Sequence[AlphaWord], v: AlphaWord,
@@ -350,24 +350,20 @@ def shrink_gap(
                 add(gamma, omega_power(n, n2)))
 
 
-def _blank_cut(family: RelationFamily, repeats: dict, alpha_bet, eps1: Ordinal,
-               n: int, points: Sequence[Ordinal]) -> tuple | None:
-    """The cut [c1, c2) of the window at eps1 when its first j2 blocks
-    hold no point, else None.  There the pair (j1, j2) is the blank block
-    relation's, searched once per exponent into ``repeats`` (None when
-    blank blocks do not repeat within the step budget)."""
-    if n not in repeats:
-        try:
-            blank = blank_word(omega_power(n + 1), alpha_bet)
-            repeats[n] = _first_repeat(family, blank, ZERO, n)
-        except ResourceLimitExceeded:
-            repeats[n] = None
-    if repeats[n] is None:
+def _blank_cut(family: RelationFamily, eps1: Ordinal, n: int,
+               points: Sequence[Ordinal]) -> tuple | None:
+    """The cut [c1, c2) of the window at eps1 and its period when the
+    first j2 blocks hold no point, else None.  There _first_repeat's pair
+    (j1, j2) is (lam, lam + pi) of the family's blank shape; None too
+    when the blank blocks do not repeat within SHRINK_MAX_STEPS."""
+    try:
+        lam, pi = blank_shape(family.automata, n)
+    except ResourceLimitExceeded:
         return None
-    c1, c2 = (add(eps1, omega_power(n, j)) for j in repeats[n])
-    if any(eps1 <= p < c2 for p in points):
+    c1, c2 = add(eps1, omega_power(n, lam)), add(eps1, omega_power(n, lam + pi))
+    if lam + pi > SHRINK_MAX_STEPS or any(eps1 <= p < c2 for p in points):
         return None
-    return c1, c2
+    return c1, c2, pi
 
 
 @dataclass(frozen=True)
@@ -428,7 +424,6 @@ def normalize(
     anchors = frozenset().union(*(support(e) for e in E)) if E else frozenset()
     anchors |= {v.length}
     inside: dict = {}
-    repeats: dict = {}
     cur = v
     points = sorted_support(v)  # the support after the walked cuts
     walked = None  # [c1, c2): the walked cuts, not yet made on cur
@@ -468,16 +463,15 @@ def normalize(
             steps.append(f"transplant around {beta}")
             continue
         nn, eps1 = window
-        cut = _blank_cut(family, repeats, cur.alphabet, eps1, nn, points)
+        cut = _blank_cut(family, eps1, nn, points)
         if cut is None:
             settle()
             cur = shrink_gap(family, E, cur, eps1, nn)
             points = sorted_support(cur)
             steps.append(f"shrink window at {eps1} exponent {nn}")
             continue
-        c1, c2 = cut
+        c1, c2, period = cut
         end = add(eps1, omega_power(nn + 1))
-        period = repeats[nn][1] - repeats[nn][0]
         moving = [p for p in points if c2 <= p < end]
         fixed = [*anchors, *(p for p in points if not c2 <= p < end)]
         k = _run_length(moving, fixed, nn, period, radius, max_steps - len(steps))

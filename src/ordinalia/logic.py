@@ -3,9 +3,11 @@
 A presentation packages a domain automaton, named relation automata,
 and an optional equality automaton (absent means identity is literal
 word equality).  Formulas compile track-by-track into the classical
-gap-NFA layer: conjunction is product, negation is complement
-relativized to the domain, an existential quantifier is projection of
-one track.  Deciding a sentence then reduces to emptiness, and
+gap-NFA layer: conjunction is product, negation is complement, an
+existential quantifier is projection of one track.  Compiled nodes are
+exact on the tuples inside the domain and need be nothing more, so the
+domain enters only at binders: each ∃, and the top for free variables.
+Deciding a sentence then reduces to emptiness, and
 existential sentences yield concrete witness words that are re-checked
 against the original ordinal automata before being returned.
 
@@ -321,6 +323,9 @@ def _domain_word(pres: Presentation) -> AlphaWord | None:
 
 
 def _compile(f: Formula, pres: Presentation, ambient: tuple[str, ...]) -> gc.GapNFA:
+    """Gap NFA over ``ambient``, exact on the tuples inside the domain:
+    atoms, product, union and complement act word by word, and an ∃
+    relativizes its own track before projecting."""
     n = len(ambient)
     if f.kind == "atom":
         arity, aut = pres.relations[f.rel]
@@ -345,8 +350,7 @@ def _compile(f: Formula, pres: Presentation, ambient: tuple[str, ...]) -> gc.Gap
             _compile(f.subs[1], pres, ambient),
         )
     if f.kind == "not":
-        body = _compile(f.subs[0], pres, ambient)
-        return gc.nfa_product(gc.complement(body), _domain_product(pres, n))
+        return gc.complement(_compile(f.subs[0], pres, ambient))
     if f.kind == "exists":
         inner = tuple(sorted(set(ambient) | {f.var}))
         if len(inner) == len(ambient):
@@ -367,8 +371,9 @@ def _compile(f: Formula, pres: Presentation, ambient: tuple[str, ...]) -> gc.Gap
 def compile_formula(f: Formula, pres: Presentation) -> gc.GapNFA:
     """Gap NFA of the free-variable convolutions satisfying ``f``.
 
-    Tracks are the free variables sorted by name; every track is
-    relativized to the domain language.  Like every gap NFA it is read
+    Tracks are the free variables sorted by name.  :func:`_compile` is
+    exact only on tuples inside the domain, so the result is its product
+    with every track's domain atom, once.  Like every gap NFA it is read
     through the shape: its shape-valid accepted words are the shadows of
     the satisfying convolutions, and it may accept invalid words too.
     """

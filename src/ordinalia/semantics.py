@@ -31,8 +31,9 @@ freed with it; this module holds no mutable state of its own.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .automata import OrdinalAutomaton
 from .ordinals import Ordinal, omega_power
@@ -160,8 +161,8 @@ def _path_unions(triples: frozenset, targets: int) -> set:
                 seen.add(item)
                 if len(seen) > MAX_PATH_UNION_PAIRS:
                     raise ResourceLimitExceeded(
-                        "path-union search exceeded "
-                        f"{MAX_PATH_UNION_PAIRS} (state, union) pairs"
+                        f"path-union search exceeded {MAX_PATH_UNION_PAIRS} "
+                        "(state, union) pairs (MAX_PATH_UNION_PAIRS)"
                     )
                 queue.append(item)
     return seen
@@ -187,15 +188,15 @@ class Periodic:
     first repeat x_j == x_lam the shape (lam, pi = j - lam) is recorded,
     after which term k >= lam is term lam + (k - lam) mod pi, so any
     index costs no more than the first repeat.  Storing more than
-    ``limit`` distinct terms raises ResourceLimitExceeded.
+    ``limit`` distinct terms raises ResourceLimitExceeded naming ``budget``.
     """
 
-    def __init__(self, first, step, limit: int, what: str) -> None:
+    def __init__(self, first, step, limit: int, what: str, budget: str) -> None:
         self._terms = [first]
         self._index = {first: 0}
         self._step = step
         self._limit = limit
-        self._what = what
+        self._over = f"{what} exceeded {limit} without repeating ({budget})"
         self._shape: tuple[int, int] | None = None
 
     def __getitem__(self, k: int):
@@ -209,9 +210,7 @@ class Periodic:
             self._index[nxt] = len(terms)
             terms.append(nxt)
             if len(terms) > self._limit:
-                raise ResourceLimitExceeded(
-                    f"{self._what} exceeded {self._limit} without repeating"
-                )
+                raise ResourceLimitExceeded(self._over)
         if k < len(terms):
             return terms[k]
         lam, pi = self._shape
@@ -227,7 +226,7 @@ class Periodic:
 def _power_sequence(rel: Relation) -> Periodic:
     """rel^0, rel^1, ...: term c is rel^c, starting at the identity."""
     return Periodic(identity_relation(len(rel)), lambda x: compose(x, rel),
-                    MAX_POWER_STEPS, "relation powers")
+                    MAX_POWER_STEPS, "relation powers", "MAX_POWER_STEPS")
 
 
 def profile(aut: OrdinalAutomaton, sym: Symbol, k: int) -> frozenset:
@@ -252,7 +251,7 @@ def profile(aut: OrdinalAutomaton, sym: Symbol, k: int) -> frozenset:
         # cycle collection.
         limit, n = comp.limit, len(aut.states)
         levels = Periodic(first, lambda prev: _next_profile(limit, prev, n),
-                          MAX_PROFILE_LEVELS, "profile levels")
+                          MAX_PROFILE_LEVELS, "profile levels", "MAX_PROFILE_LEVELS")
         aut._memo[("profile", sym)] = levels
     return levels[k]
 
@@ -289,6 +288,14 @@ def power_cycle(aut: OrdinalAutomaton, sym: Symbol, k: int) -> tuple[int, int]:
     return to the identity is purely periodic and reports lam = 0.
     """
     return _powers(aut, sym, k).shape()
+
+
+def blank_shape(auts: Iterable[OrdinalAutomaton], k: int) -> tuple[int, int]:
+    """(max lam, lcm pi) of the blank power cycles of ``auts`` at exponent
+    k: the first-repeat shape of their blank-stretch relations read
+    together, as of their synchronized product (never built)."""
+    shapes = [power_cycle(aut, aut.alphabet.blank, k) for aut in auts]
+    return max((s[0] for s in shapes), default=0), math.lcm(*(s[1] for s in shapes))
 
 
 # -- reachability across ordinal-length constant stretches ------------------

@@ -13,7 +13,7 @@ import pytest
 
 from ordinalia import examples, growth
 from ordinalia.automata import equality_automaton
-from ordinalia.semantics import ResourceLimitExceeded
+from ordinalia.semantics import ResourceLimitExceeded, blank_shape
 from ordinalia.examples import (
     AB,
     growth_bound_probe,
@@ -42,8 +42,8 @@ from ordinalia.growth import (
     u_set,
     u_single,
 )
-from ordinalia.ordinals import ZERO, Ordinal, from_int, parse_ordinal
-from ordinalia.words import make_word, product_alphabet, support
+from ordinalia.ordinals import ZERO, Ordinal, from_int, omega_power, parse_ordinal
+from ordinalia.words import blank_word, make_word, product_alphabet, support
 
 from conftest import random_automaton
 
@@ -409,6 +409,22 @@ def _nearby(rng, point):
     """point with its finite coefficient redrawn: an anchor that can
     block the windows of point and force a transplant."""
     return Ordinal((rng.randint(0, point.coefficient(0) + 2),) + point.coeffs[1:])
+
+
+def test_blank_shape_is_the_first_repeat_of_blank_blocks(rng):
+    # normalize reads a blank window's cut off blank_shape; shrink_gap's
+    # search over the blank word itself must find the same pair
+    pair = product_alphabet(AB, 2)
+    shapes = set()
+    for _ in range(300):
+        auts = tuple(random_automaton(rng, max_states=4, alpha_bet=rng.choice([AB, pair]))
+                     for _ in range(rng.randint(1, 3)))
+        n = rng.randint(0, 2)
+        lam, pi = blank_shape(auts, n)
+        blank = blank_word(omega_power(n + 1), AB)
+        assert growth._first_repeat(RelationFamily(auts, W3), blank, ZERO, n) == (lam, lam + pi)
+        shapes.add((lam, pi))
+    assert {0, 3} <= {lam for lam, _ in shapes} and max(pi for _, pi in shapes) > 1
 
 
 def test_batched_cuts_match_the_single_step_loop(rng):

@@ -3,6 +3,7 @@ import weakref
 
 import pytest
 
+from ordinalia import gapcode, growth, semantics
 from ordinalia.automata import make_automaton
 from ordinalia.ordinals import OMEGA, ZERO, from_int, omega_power, parse_ordinal
 from ordinalia.semantics import (
@@ -235,7 +236,7 @@ def test_periodic_extends_lazily_and_wraps_at_the_first_repeat():
         calls.append(x)
         return (x + 1) % 5 if x < 4 else 2  # 0 1 2 3 4 2 3 4 ...
 
-    seq = Periodic(0, step, 10, "test terms")
+    seq = Periodic(0, step, 10, "test terms", "TEST_LIMIT")
     assert seq[3] == 3 and len(calls) == 3
     assert seq.shape() == (2, 3)
     assert [seq[k] for k in range(9)] == [0, 1, 2, 3, 4, 2, 3, 4, 2]
@@ -243,10 +244,44 @@ def test_periodic_extends_lazily_and_wraps_at_the_first_repeat():
 
 
 def test_periodic_raises_past_its_limit():
-    seq = Periodic(0, lambda x: x + 1, 5, "test terms")
+    seq = Periodic(0, lambda x: x + 1, 5, "test terms", "TEST_LIMIT")
     assert seq[4] == 4  # five distinct terms fit
     with pytest.raises(ResourceLimitExceeded, match="test terms exceeded 5"):
         seq[5]
+
+
+def _blank_swap():
+    """Blanks swap two states; a limit of both lands in the first."""
+    return make_automaton(
+        states=["p", "q"], alphabet=AB, initial=["p"], final=["p"],
+        succ={("p", "_"): {"q"}, ("q", "_"): {"p"}},
+        limit={frozenset({"p", "q"}): {"p"}},
+    )
+
+
+def _lifted(aut):
+    """``aut`` read on track 0 of two, through a policy at ω."""
+    return gapcode.to_gap_nfa(aut, gapcode.cap_policy([aut], OMEGA), 2, (0,))
+
+
+BUDGETS = [
+    (semantics, "MAX_POWER_STEPS", 1, lambda aut: power_cycle(aut, "_", 0)),
+    (semantics, "MAX_PROFILE_LEVELS", 1, lambda aut: profile(aut, "_", 1)),
+    (semantics, "MAX_PATH_UNION_PAIRS", 0, lambda aut: profile(aut, "_", 1)),
+    (gapcode, "MAX_DFA_STATES", 1, lambda aut: gapcode.determinize(_lifted(aut))),
+    (gapcode, "MAX_MERGE_PAIRS", 0, lambda aut: gapcode.exists_project(_lifted(aut), 1)),
+    (growth, "U_BOUND_MAX", 0, lambda aut: growth.bound_u([], 1, 1, OMEGA)),
+    (growth, "SHRINK_MAX_STEPS", 0, lambda aut: growth.shrink_gap(
+        growth.RelationFamily((aut,), OMEGA), [], blank_word(OMEGA, AB), ZERO, 0)),
+]
+
+
+@pytest.mark.parametrize("module, budget, low, run", BUDGETS, ids=[b[1] for b in BUDGETS])
+def test_an_exhausted_budget_names_its_constant(module, budget, low, run, monkeypatch):
+    run(_blank_swap())  # fits the default budget
+    monkeypatch.setattr(module, budget, low)
+    with pytest.raises(ResourceLimitExceeded, match=rf"\({budget}\)"):
+        run(_blank_swap())  # a fresh machine: nothing analysed is kept
 
 
 def test_analysed_automaton_is_freed_once_dropped(rng):
